@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..dns.records import QType
-from ..dns.trace import ClientQuery, DnsTrace
+import numpy as np
+
+from ..dns.records import QTYPES, QType
+from ..dns.trace import ROOT, DnsTrace
 
 __all__ = ["RedundancyStats", "Table5Episode", "analyze_redundancy", "find_bug_episode"]
 
@@ -44,25 +46,32 @@ class RedundancyStats:
 
 def analyze_redundancy(trace: DnsTrace, ttl_s: float = 172_800.0) -> RedundancyStats:
     """Classify every root query in ``trace`` by the 1-TTL rule."""
-    stats = RedundancyStats()
-    last_asked: dict[tuple[str, str], float] = {}
-    for client_query in trace:
-        had_timeout = any(q.timed_out for q in client_query.upstream)
-        for upstream in client_query.upstream:
-            if not upstream.is_root:
-                continue
-            stats.total_root_queries += 1
-            key = (upstream.qname, upstream.qtype.value)
-            previous = last_asked.get(key)
-            last_asked[key] = upstream.t
-            if previous is None or upstream.t - previous >= ttl_s:
-                continue
-            stats.redundant += 1
-            if upstream.qtype is QType.AAAA:
-                stats.redundant_aaaa += 1
-                if had_timeout:
-                    stats.redundant_matching_bug_pattern += 1
+    root = np.flatnonzero(trace.up_kind == ROOT)
+    had_timeout = _had_timeout(trace)[trace.upstream_client()[root]]
+    stats = RedundancyStats(total_root_queries=len(root))
+    aaaa = QTYPES.index(QType.AAAA)
+    last_asked: dict[tuple[int, int], float] = {}
+    for t, qname, qtype, timeout in zip(
+        trace.up_t[root].tolist(), trace.up_qname[root].tolist(),
+        trace.up_qtype[root].tolist(), had_timeout.tolist(),
+    ):
+        key = (qname, qtype)
+        previous = last_asked.get(key)
+        last_asked[key] = t
+        if previous is None or t - previous >= ttl_s:
+            continue
+        stats.redundant += 1
+        if qtype == aaaa:
+            stats.redundant_aaaa += 1
+            if timeout:
+                stats.redundant_matching_bug_pattern += 1
     return stats
+
+
+def _had_timeout(trace: DnsTrace) -> np.ndarray:
+    """Per client row: did any of its upstream queries time out?"""
+    timeouts = trace.upstream_client()[trace.up_timed_out]
+    return np.bincount(timeouts, minlength=len(trace)) > 0
 
 
 @dataclass(slots=True)
@@ -89,34 +98,26 @@ class Table5Episode:
 
 def find_bug_episode(trace: DnsTrace, min_root_aaaa: int = 2) -> Table5Episode | None:
     """Locate a client query exhibiting the Table-5 pattern."""
-    for client_query in trace:
-        if not _is_bug_episode(client_query, min_root_aaaa):
-            continue
-        episode = Table5Episode(client_qname=client_query.qname)
-        t0 = client_query.t
-        episode.steps.append(
-            (1, 0.0, "client", "resolver", client_query.qname, client_query.qtype.value)
-        )
-        for index, upstream in enumerate(client_query.upstream, start=2):
-            episode.steps.append(
-                (
-                    index,
-                    max(0.0, upstream.t - t0),
-                    "resolver",
-                    upstream.server,
-                    upstream.qname,
-                    upstream.qtype.value,
-                )
-            )
-        return episode
-    return None
-
-
-def _is_bug_episode(client_query: ClientQuery, min_root_aaaa: int) -> bool:
-    timed_out = any(q.timed_out for q in client_query.upstream)
-    root_aaaa = sum(
-        1
-        for q in client_query.upstream
-        if q.is_root and q.qtype is QType.AAAA
+    root_aaaa = (trace.up_kind == ROOT) & (trace.up_qtype == QTYPES.index(QType.AAAA))
+    root_aaaa_counts = np.bincount(trace.upstream_client()[root_aaaa], minlength=len(trace))
+    matches = np.flatnonzero(_had_timeout(trace) & (root_aaaa_counts >= min_root_aaaa))
+    if not len(matches):
+        return None
+    client_query = trace[int(matches[0])]
+    episode = Table5Episode(client_qname=client_query.qname)
+    t0 = client_query.t
+    episode.steps.append(
+        (1, 0.0, "client", "resolver", client_query.qname, client_query.qtype.value)
     )
-    return timed_out and root_aaaa >= min_root_aaaa
+    for index, upstream in enumerate(client_query.upstream, start=2):
+        episode.steps.append(
+            (
+                index,
+                max(0.0, upstream.t - t0),
+                "resolver",
+                upstream.server,
+                upstream.qname,
+                upstream.qtype.value,
+            )
+        )
+    return episode

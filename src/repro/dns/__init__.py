@@ -1,13 +1,12 @@
-"""DNS substrate: zone, caches, workload, packet-level recursive."""
+"""DNS substrate: zone, workload, packet-level recursive, columnar traces."""
 
-from .cache import TtlCache
 from .localview import (
     AuthorMachineExperiment,
     AuthorResult,
     IsiResolverExperiment,
     IsiResult,
 )
-from .records import DEFAULT_TLD_TTL_S, INVALID_TLDS, Question, QType, RootZone
+from .records import DEFAULT_TLD_TTL_S, INVALID_TLDS, QTYPES, Question, QType, RootZone
 from .resolver import (
     LetterPreference,
     ResolverConfig,
@@ -15,17 +14,24 @@ from .resolver import (
     SimulatedRecursive,
     StaticRootLatency,
 )
-from .trace import ClientQuery, DnsTrace, UpstreamQuery
-from .workload import BrowsingWorkload, Domain, DomainUniverse, TimedQuestion
+from .trace import SERVER_KINDS, ClientQuery, DnsTrace, UpstreamQuery
+from .workload import (
+    ORIGINS,
+    BrowsingWorkload,
+    Domain,
+    DomainUniverse,
+    QueryStream,
+    TimedQuestion,
+)
 
 __all__ = [
-    "TtlCache",
     "AuthorMachineExperiment",
     "AuthorResult",
     "IsiResolverExperiment",
     "IsiResult",
     "DEFAULT_TLD_TTL_S",
     "INVALID_TLDS",
+    "QTYPES",
     "Question",
     "QType",
     "RootZone",
@@ -36,9 +42,12 @@ __all__ = [
     "StaticRootLatency",
     "ClientQuery",
     "DnsTrace",
+    "SERVER_KINDS",
     "UpstreamQuery",
     "BrowsingWorkload",
     "Domain",
     "DomainUniverse",
+    "ORIGINS",
+    "QueryStream",
     "TimedQuestion",
 ]

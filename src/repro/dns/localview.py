@@ -19,27 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geo import make_rng
-from .records import Question, QType, RootZone
+from .records import QTYPES, QType, RootZone
 from .resolver import ResolverConfig, RootLatencyModel, SimulatedRecursive
 from .trace import DnsTrace
-from .workload import BrowsingWorkload, DomainUniverse, TimedQuestion
+from .workload import BrowsingWorkload, DomainUniverse, QueryStream
 
 __all__ = ["IsiResolverExperiment", "IsiResult", "AuthorMachineExperiment", "AuthorResult"]
 
 
 def _daily_miss_rates(trace: DnsTrace) -> list[float]:
     """Root cache miss rate for each simulated day."""
-    per_day_client: dict[int, int] = {}
-    per_day_root: dict[int, int] = {}
-    for query in trace:
-        day = int(query.t // 86_400)
-        per_day_client[day] = per_day_client.get(day, 0) + 1
-        per_day_root[day] = per_day_root.get(day, 0) + len(query.root_queries)
-    return [
-        per_day_root.get(day, 0) / count
-        for day, count in sorted(per_day_client.items())
-        if count > 0
-    ]
+    days, day_of_query = np.unique(trace.t // 86_400, return_inverse=True)
+    queries = np.bincount(day_of_query, minlength=len(days)).tolist()
+    roots = np.bincount(day_of_query, weights=trace.root_counts(), minlength=len(days))
+    return [int(root) / count for root, count in zip(roots.tolist(), queries)]
 
 
 @dataclass(slots=True)
@@ -58,17 +51,17 @@ class IsiResult:
         return float(np.median(self.daily_miss_rates)) if self.daily_miss_rates else 0.0
 
     def latency_cdf_ms(self) -> np.ndarray:
-        return np.sort(np.array(self.trace.client_latencies_ms()))
+        return np.sort(self.trace.client_latencies_ms())
 
     def root_latency_cdf_ms(self) -> np.ndarray:
-        return np.sort(np.array(self.trace.root_latencies_ms()))
+        return np.sort(self.trace.root_latencies_ms())
 
     def fraction_queries_touching_root(self) -> float:
-        touched = sum(1 for q in self.trace if q.root_queries)
+        touched = int(np.count_nonzero(self.trace.root_counts()))
         return touched / max(1, len(self.trace))
 
     def fraction_root_latency_over_ms(self, threshold_ms: float) -> float:
-        over = sum(1 for q in self.trace if q.root_latency_ms > threshold_ms)
+        over = int(np.count_nonzero(self.trace.root_latencies_ms() > threshold_ms))
         return over / max(1, len(self.trace))
 
 
@@ -174,41 +167,52 @@ class AuthorMachineExperiment:
             config=ResolverConfig(has_redundant_bug=False),
             seed=self.seed,
         )
-        trace = DnsTrace()
         n_days = int(self.days)
-        daily_root: list[float] = []
-        daily_page: list[float] = []
-        daily_browse: list[float] = []
+        page_t: list[float] = []
+        page_day: list[int] = []
+        picks: list[np.ndarray] = []
+        tails: list[np.ndarray] = []
         for day in range(n_days):
-            root_ms = 0.0
-            page_ms = 0.0
-            browse_ms = 0.0
             n_pages = int(rng.poisson(self.pages_per_day))
             times = np.sort(rng.uniform(day * 86_400.0, (day + 1) * 86_400.0, size=n_pages))
-            for t in times:
-                dns_wait = 0.0
-                domains = [self.universe.sample(rng)] + self.universe.sample_many(
-                    rng, int(rng.integers(2, 8))
-                )
-                for domain in domains:
-                    answer = resolver.handle(
-                        TimedQuestion(float(t), Question(domain.name, QType.A))
-                    )
-                    trace.add(answer)
-                    dns_wait += answer.latency_ms
-                    root_ms += answer.root_latency_ms
-                # Page load: DNS wait + content transfer (~10 RTTs of ~30 ms
-                # plus render time); active time dwarfs it.
-                content_ms = float(rng.uniform(1_000.0, 4_000.0))
-                page_ms += dns_wait + content_ms
-                browse_ms += float(rng.uniform(20_000.0, 90_000.0))
-            daily_root.append(root_ms)
-            daily_page.append(page_ms)
-            daily_browse.append(browse_ms)
+            for t in times.tolist():
+                # The page's domain, then the third-party count, then the
+                # third parties, content time and active time in one block.
+                first = rng.random()
+                k = int(rng.integers(2, 8))
+                tail = rng.random(k + 2)
+                page_t.append(t)
+                page_day.append(day)
+                picks.append(self.universe.sample_indexes(np.append(first, tail[:k])))
+                tails.append(tail[k:])
+        n_pages = len(page_t)
+        per_page = np.array([len(p) for p in picks], dtype=np.int64)
+        page_of_query = np.repeat(np.arange(n_pages), per_page)
+        stream = QueryStream(
+            [domain.name for domain in self.universe.domains],
+            np.array(page_t)[page_of_query],
+            np.concatenate(picks) if picks else (),
+            np.full(len(page_of_query), QTYPES.index(QType.A)),
+            np.zeros(len(page_of_query)),
+        )
+        trace = resolver.run(stream)
+        # Page load: DNS wait + content transfer (~10 RTTs of ~30 ms plus
+        # render time); active time dwarfs it.  Every sum runs in page
+        # order, like a running total.
+        tail = np.array(tails).reshape(-1, 2)
+        content_ms = 1_000.0 + (4_000.0 - 1_000.0) * tail[:, 0]
+        browse_ms = 20_000.0 + (90_000.0 - 20_000.0) * tail[:, 1]
+        day = np.array(page_day, dtype=np.int64)
+        dns_wait = np.bincount(page_of_query, weights=trace.latency_ms, minlength=n_pages)
+        root_ms = np.bincount(
+            day[page_of_query], weights=trace.root_latencies_ms(), minlength=n_days
+        )
+        page_ms = np.bincount(day, weights=dns_wait + content_ms, minlength=n_days)
+        active_ms = np.bincount(day, weights=browse_ms, minlength=n_days)
         return AuthorResult(
             trace=trace,
             daily_miss_rates=_daily_miss_rates(trace),
-            daily_root_latency_ms=daily_root,
-            daily_page_load_ms=daily_page,
-            daily_active_browse_ms=daily_browse,
+            daily_root_latency_ms=root_ms.tolist(),
+            daily_page_load_ms=page_ms.tolist(),
+            daily_active_browse_ms=active_ms.tolist(),
         )

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..geo import make_rng
 
-__all__ = ["QType", "Question", "RootZone", "INVALID_TLDS", "DEFAULT_TLD_TTL_S"]
+__all__ = ["QType", "QTYPES", "Question", "RootZone", "INVALID_TLDS", "DEFAULT_TLD_TTL_S"]
 
 #: TLD NS/glue records carry a two-day TTL.
 DEFAULT_TLD_TTL_S = 172_800
@@ -32,6 +32,10 @@ class QType(enum.Enum):
     AAAA = "AAAA"
     NS = "NS"
     PTR = "PTR"
+
+
+#: Query types by the integer code columnar streams and traces store.
+QTYPES: tuple[QType, ...] = tuple(QType)
 
 
 @dataclass(frozen=True, slots=True)

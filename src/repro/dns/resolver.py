@@ -3,8 +3,8 @@
 Implements the resolver behaviour the paper's local-view experiments
 depend on:
 
-* TTL caches for TLD delegations, domain delegations, nameserver glue,
-  answers, and negative results;
+* TTL caches for TLD delegations, domain delegations, answers, and
+  negative results;
 * root-letter preference: per Müller et al., recursives favour their
   lowest-latency letters but keep probing all of them;
 * authoritative-server timeouts with retry over the NS set;
@@ -13,8 +13,11 @@ depend on:
   AAAA records of every nameserver it lacks glue for — even though the
   TLD's records are fresh in cache.  Table 5 is one such episode.
 
-The resolver answers a :class:`~repro.dns.workload.TimedQuestion` stream
-and records everything in a :class:`~repro.dns.trace.DnsTrace`.
+The resolver answers a :class:`~repro.dns.workload.QueryStream` (or any
+:class:`~repro.dns.workload.TimedQuestion` iterable) and records
+everything in a columnar :class:`~repro.dns.trace.DnsTrace`.  Names are
+interned to integer ids; each cache is a flat list of expiry times
+indexed by id, and an entry is fresh while its expiry is later than now.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geo import make_rng
-from .cache import TtlCache
-from .records import Question, QType, RootZone
-from .trace import ClientQuery, DnsTrace, UpstreamQuery
-from .workload import DomainUniverse, TimedQuestion
+from .records import QTYPES, Question, QType, RootZone
+from .trace import AUTH, ROOT, TLD, ClientQuery, DnsTrace
+from .workload import DomainUniverse, QueryStream, TimedQuestion
 
 __all__ = ["RootLatencyModel", "StaticRootLatency", "LetterPreference", "SimulatedRecursive"]
 
@@ -39,6 +41,12 @@ NEGATIVE_TTL_S = 900.0
 ANSWER_TTL_S = 300.0
 #: Domain-delegation TTL, seconds.
 DELEGATION_TTL_S = 86_400.0
+
+_NS, _AAAA, _PTR = (QTYPES.index(q) for q in (QType.NS, QType.AAAA, QType.PTR))
+_NEVER = float("-inf")
+#: An upstream query is recorded as (t, server kind, server name id,
+#: qname id, qtype code, rtt ms, timed out), flattened into one list.
+_UPSTREAM_FIELDS = 7
 
 
 class RootLatencyModel:
@@ -96,7 +104,10 @@ class LetterPreference:
         return weights / weights.sum()
 
     def choose(self, rng: np.random.Generator) -> str:
-        return self.letters[int(rng.choice(len(self.letters), p=self.weights()))]
+        # ``rng.choice(p=weights)``'s own CDF search, on one ``random()`` draw.
+        cdf = self.weights().cumsum()
+        cdf /= cdf[-1]
+        return self.letters[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,12 +117,15 @@ class ResolverConfig:
     has_redundant_bug: bool = False
     auth_timeout_prob: float = 0.005
     aaaa_glue_prob: float = 0.3    # TLDs rarely include AAAA glue
-    a_glue_prob: float = 0.9
-    cache_capacity: int | None = None
 
 
 class SimulatedRecursive:
-    """A caching recursive resolver answering a timed query stream."""
+    """A caching recursive resolver answering a timed query stream.
+
+    Every ``uniform(lo, hi)`` of the model is drawn as
+    ``lo + (hi - lo) * random()``, which yields the same value from the
+    same generator step.
+    """
 
     def __init__(
         self,
@@ -127,55 +141,62 @@ class SimulatedRecursive:
         self.config = config or ResolverConfig()
         self._rng = make_rng(seed, "resolver")
         self.preference = LetterPreference(root_latency.letters)
-        capacity = self.config.cache_capacity
-        self.tld_cache = TtlCache(capacity)
-        self.delegation_cache = TtlCache(capacity)
-        self.glue_a_cache = TtlCache(capacity)
-        self.glue_aaaa_cache = TtlCache(capacity)
-        self.answer_cache = TtlCache(capacity)
-        self.negative_cache = TtlCache(capacity)
-        self._domain_by_name = {d.name: d for d in universe.domains}
-        #: NS names whose AAAA glue was absent from the TLD's last
+        self._domain_index = {d.name: i for i, d in enumerate(universe.domains)}
+        # Interned names and the per-name state, all indexed by name id.
+        self._ids: dict[str, int] = {}
+        self._names: list[str] = []
+        #: (TLD id, domain index) of a client name: TLD id -1 for junk,
+        #: domain index -1 when the valid TLD has no such domain.
+        self._routes: list[tuple[int, int] | None] = []
+        self._answer_expiry: list[float] = []      # per (name id, qtype code)
+        self._negative_expiry: list[float] = []
+        self._tld_expiry: list[float] = []
+        n_domains = len(universe.domains)
+        self._delegation_expiry = [_NEVER] * n_domains
+        self._nameservers: list[tuple[int, ...] | None] = [None] * n_domains
+        #: Nameservers whose AAAA glue was absent from the TLD's last
         #: delegation response, per domain — what the bug re-asks roots for.
-        self._unglued_aaaa: dict[str, tuple[str, ...]] = {}
+        self._unglued_aaaa: list[tuple[int, ...]] = [()] * n_domains
+        self._letter_ids = {letter: self._intern(letter) for letter in self.preference.letters}
+        self._arpa = self._intern("in-addr-arpa")
+
+    def _intern(self, name: str) -> int:
+        nid = self._ids.get(name)
+        if nid is None:
+            nid = self._ids[name] = len(self._names)
+            self._names.append(name)
+            self._routes.append(None)
+            self._answer_expiry.extend((_NEVER,) * len(QTYPES))
+            self._negative_expiry.append(_NEVER)
+            self._tld_expiry.append(_NEVER)
+        return nid
+
+    def _route(self, nid: int) -> tuple[int, int]:
+        """How a non-PTR question for name ``nid`` resolves; memoised."""
+        question = Question(self._names[nid], QType.A)
+        tld = question.tld
+        if question.is_single_label or not self.zone.is_valid_tld(tld):
+            route = (-1, -1)
+        else:
+            index = self._domain_index.get(question.qname)
+            if index is None:
+                # A name outside the universe (e.g. nameserver host):
+                # treat its registrable parent as the domain.
+                parent = ".".join(question.qname.split(".")[-2:])
+                index = self._domain_index.get(parent, -1)
+            route = (self._intern(tld), index)
+        self._routes[nid] = route
+        return route
 
     # -- upstream helpers --------------------------------------------------
-    def _query_root(
-        self, t: float, qname: str, qtype: QType, upstream: list[UpstreamQuery]
-    ) -> float:
+    def _query_root(self, t: float, qname: int, qtype: int, upstream: list) -> float:
         letter = self.preference.choose(self._rng)
         rtt = self.root_latency.sample_rtt_ms(letter, self._rng)
         self.preference.observe(letter, rtt)
-        upstream.append(UpstreamQuery(t, f"root:{letter}", qname, qtype, rtt))
+        upstream += (t, ROOT, self._letter_ids[letter], qname, qtype, rtt, False)
         return rtt
 
-    def _query_tld(
-        self, t: float, tld: str, qname: str, qtype: QType, upstream: list[UpstreamQuery]
-    ) -> float:
-        rtt = float(self._rng.uniform(4.0, 60.0))
-        upstream.append(UpstreamQuery(t, f"tld:{tld}", qname, qtype, rtt))
-        return rtt
-
-    def _query_auth(
-        self, t: float, server: str, qname: str, qtype: QType, upstream: list[UpstreamQuery]
-    ) -> tuple[float, bool]:
-        timed_out = self._rng.uniform() < self.config.auth_timeout_prob
-        rtt = AUTH_TIMEOUT_MS if timed_out else float(self._rng.uniform(5.0, 120.0))
-        upstream.append(UpstreamQuery(t, f"auth:{server}", qname, qtype, rtt, timed_out))
-        return rtt, timed_out
-
-    # -- resolution ---------------------------------------------------------
-    def _ensure_tld(self, t: float, tld: str, upstream: list[UpstreamQuery]) -> float:
-        """Make the TLD delegation fresh; returns wait in ms."""
-        if self.tld_cache.contains(tld, t):
-            return 0.0
-        wait = self._query_root(t, tld, QType.NS, upstream)
-        self.tld_cache.put(tld, t, self.zone.ttl_s)
-        return wait
-
-    def _bug_redundant_root_queries(
-        self, t: float, domain_name: str, upstream: list[UpstreamQuery]
-    ) -> None:
+    def _bug_redundant_root_queries(self, t: float, domain: int, upstream: list) -> None:
         """The Appendix-E pattern: AAAA root queries for un-glued NSes.
 
         These are *redundant*: the TLD that actually owns the records is
@@ -184,87 +205,111 @@ class SimulatedRecursive:
         names are re-asked after every timeout.  They run in parallel
         with the retry, so they add no client latency — only root load.
         """
-        for server in self._unglued_aaaa.get(domain_name, ()):
-            self._query_root(t, server, QType.AAAA, upstream)
+        for server in self._unglued_aaaa[domain]:
+            self._query_root(t, server, _AAAA, upstream)
 
-    def _resolve_domain(
-        self, t: float, question: Question, upstream: list[UpstreamQuery]
+    # -- resolution ---------------------------------------------------------
+    def _fetch_delegation(
+        self, t: float, nid: int, qtype: int, tld: int, domain: int, upstream: list
     ) -> float:
-        """Full resolution of a valid browse query; returns wait in ms."""
-        domain = self._domain_by_name.get(question.qname)
-        if domain is None:
-            # A name outside the universe (e.g. nameserver host): treat its
-            # registrable parent as the domain.
-            parts = question.qname.split(".")
-            parent = ".".join(parts[-2:])
-            domain = self._domain_by_name.get(parent)
-        wait = self._ensure_tld(t, question.tld, upstream)
-        if domain is None:
-            # Unknown second-level: the TLD answers NXDOMAIN directly.
-            wait += self._query_tld(t, question.tld, question.qname, question.qtype, upstream)
-            self.negative_cache.put(question.qname, t, NEGATIVE_TTL_S)
-            return wait
-
-        if not self.delegation_cache.contains(domain.name, t):
-            wait += self._query_tld(t, question.tld, question.qname, question.qtype, upstream)
-            self.delegation_cache.put(domain.name, t, DELEGATION_TTL_S)
-            unglued: list[str] = []
-            for server in domain.nameservers:
-                if self._rng.uniform() < self.config.a_glue_prob:
-                    self.glue_a_cache.put(server, t, DELEGATION_TTL_S)
-                if self._rng.uniform() < self.config.aaaa_glue_prob:
-                    self.glue_aaaa_cache.put(server, t, DELEGATION_TTL_S)
-                else:
-                    unglued.append(server)
-            self._unglued_aaaa[domain.name] = tuple(unglued)
-
-        order = list(domain.nameservers)
-        self._rng.shuffle(order)
-        for attempt, server in enumerate(order):
-            rtt, timed_out = self._query_auth(
-                t + wait / 1000.0, server, question.qname, question.qtype, upstream
-            )
-            wait += rtt
-            if not timed_out:
-                self.answer_cache.put(f"{question.qname}/{question.qtype.value}", t, ANSWER_TTL_S)
-                return wait
-            if self.config.has_redundant_bug:
-                self._bug_redundant_root_queries(t + wait / 1000.0, domain.name, upstream)
-            if attempt >= 2:
-                break  # give up after a few servers, as real resolvers do
-        return wait
+        """Ask the TLD for ``domain``'s delegation; returns the wait in ms."""
+        rng = self._rng
+        rtt = 4.0 + (60.0 - 4.0) * rng.random()
+        upstream += (t, TLD, tld, nid, qtype, rtt, False)
+        self._delegation_expiry[domain] = t + DELEGATION_TTL_S
+        servers = self._nameservers[domain]
+        if servers is None:
+            servers = tuple(map(self._intern, self.universe.domains[domain].nameservers))
+            self._nameservers[domain] = servers
+        # Per server, an A-glue then an AAAA-glue coin; only missing AAAA
+        # glue changes behaviour.
+        coins = rng.random(2 * len(servers)).tolist()
+        aaaa_p = self.config.aaaa_glue_prob
+        self._unglued_aaaa[domain] = tuple(
+            server for server, coin in zip(servers, coins[1::2]) if not coin < aaaa_p
+        )
+        return rtt
 
     def handle(self, timed: TimedQuestion) -> ClientQuery:
-        """Answer one client question, updating caches and traces."""
-        t, question = timed.t, timed.question
-        upstream: list[UpstreamQuery] = []
-        base_ms = float(self._rng.uniform(0.05, 0.9))
-
-        answer_key = f"{question.qname}/{question.qtype.value}"
-        if self.answer_cache.contains(answer_key, t) or self.negative_cache.peek(question.qname, t):
-            return ClientQuery(t, question.qname, question.qtype, base_ms, ())
-
-        if question.qtype is QType.PTR:
-            # in-addr.arpa: one upstream round trip, no root involvement
-            # (the arpa delegation stays cached essentially forever).
-            rtt = float(self._rng.uniform(10.0, 150.0))
-            upstream.append(UpstreamQuery(t, "auth:in-addr-arpa", question.qname, QType.PTR, rtt))
-            self.answer_cache.put(answer_key, t, ANSWER_TTL_S)
-            return ClientQuery(t, question.qname, question.qtype, base_ms + rtt, tuple(upstream))
-
-        tld = question.tld
-        if question.is_single_label or not self.zone.is_valid_tld(tld):
-            # Junk: the root answers NXDOMAIN itself.
-            wait = self._query_root(t, question.qname, question.qtype, upstream)
-            self.negative_cache.put(question.qname, t, NEGATIVE_TTL_S)
-            return ClientQuery(t, question.qname, question.qtype, base_ms + wait, tuple(upstream))
-
-        wait = self._resolve_domain(t, question, upstream)
-        return ClientQuery(t, question.qname, question.qtype, base_ms + wait, tuple(upstream))
+        """Answer one client question, updating caches; one step of :meth:`run`."""
+        return self.run((timed,))[0]
 
     def run(self, stream) -> DnsTrace:
-        """Process an iterable of :class:`TimedQuestion` into a trace."""
-        trace = DnsTrace()
-        for timed in stream:
-            trace.add(self.handle(timed))
-        return trace
+        """Answer a :class:`QueryStream` (or ``TimedQuestion`` iterable) in order."""
+        if not isinstance(stream, QueryStream):
+            stream = QueryStream.from_questions(stream)
+        local = [self._intern(name) for name in stream.names]
+        rng = self._rng
+        random, shuffle = rng.random, rng.shuffle
+        answer, negative = self._answer_expiry, self._negative_expiry
+        tld_expiry, delegation = self._tld_expiry, self._delegation_expiry
+        routes, nameservers = self._routes, self._nameservers
+        query_root = self._query_root
+        tld_ttl = self.zone.ttl_s
+        timeout_p = self.config.auth_timeout_prob
+        buggy = self.config.has_redundant_bug
+        nids = np.array(local, dtype=np.int64)[stream.name]
+        keys = nids * len(QTYPES) + stream.qtype
+        latency: list[float] = []
+        ends: list[int] = []
+        upstream: list = []  # _UPSTREAM_FIELDS values per upstream query
+        extend = upstream.extend
+        for t, nid, qtype, key in zip(
+            stream.t.tolist(), nids.tolist(), stream.qtype.tolist(), keys.tolist()
+        ):
+            base_ms = 0.05 + (0.9 - 0.05) * random()
+            wait = 0.0
+            if answer[key] > t or negative[nid] > t:
+                pass
+            elif qtype == _PTR:
+                # in-addr.arpa: one upstream round trip, no root involvement
+                # (the arpa delegation stays cached essentially forever).
+                wait = 10.0 + (150.0 - 10.0) * random()
+                extend((t, AUTH, self._arpa, nid, qtype, wait, False))
+                answer[key] = t + ANSWER_TTL_S
+            elif (route := routes[nid] or self._route(nid))[0] < 0:
+                # Junk: the root answers NXDOMAIN itself.
+                wait = query_root(t, nid, qtype, upstream)
+                negative[nid] = t + NEGATIVE_TTL_S
+            else:
+                tld, domain = route
+                if not tld_expiry[tld] > t:
+                    wait = query_root(t, tld, _NS, upstream)
+                    if tld_ttl > 0:
+                        tld_expiry[tld] = t + tld_ttl
+                if domain < 0:
+                    # Unknown second-level: the TLD answers NXDOMAIN directly.
+                    rtt = 4.0 + (60.0 - 4.0) * random()
+                    extend((t, TLD, tld, nid, qtype, rtt, False))
+                    negative[nid] = t + NEGATIVE_TTL_S
+                    wait += rtt
+                else:
+                    if not delegation[domain] > t:
+                        wait += self._fetch_delegation(t, nid, qtype, tld, domain, upstream)
+                    order = list(nameservers[domain])
+                    shuffle(order)
+                    for attempt, server in enumerate(order):
+                        sent = t + wait / 1000.0
+                        if not random() < timeout_p:
+                            rtt = 5.0 + (120.0 - 5.0) * random()
+                            extend((sent, AUTH, server, nid, qtype, rtt, False))
+                            answer[key] = t + ANSWER_TTL_S
+                            wait += rtt
+                            break
+                        extend((sent, AUTH, server, nid, qtype, AUTH_TIMEOUT_MS, True))
+                        wait += AUTH_TIMEOUT_MS
+                        if buggy:
+                            self._bug_redundant_root_queries(t + wait / 1000.0, domain, upstream)
+                        if attempt >= 2:
+                            break  # give up after a few servers, as real resolvers do
+            latency.append(base_ms + wait)
+            ends.append(len(upstream))
+        rows = np.array(upstream, dtype=np.float64).reshape(-1, _UPSTREAM_FIELDS)
+        up_t, kind, server, qname, qtype, rtt, timed_out = rows.T
+        return DnsTrace(
+            self._names,
+            t=stream.t, qname=nids, qtype=stream.qtype, latency_ms=latency,
+            offsets=np.array([0] + ends) // _UPSTREAM_FIELDS,
+            up_t=up_t, up_kind=kind, up_server=server, up_qname=qname, up_qtype=qtype,
+            up_rtt_ms=rtt, up_timed_out=timed_out,
+        )

@@ -104,6 +104,12 @@ PRIVATE_PREFIXES: tuple[Prefix, ...] = (
 )
 
 
+_PRIVATE_MASKS = tuple((prefix.mask, prefix.network) for prefix in PRIVATE_PREFIXES)
+
+
 def is_private(ip: int) -> bool:
     """Whether ``ip`` falls in special-purpose (non-routable) space."""
-    return any(prefix.contains(ip) for prefix in PRIVATE_PREFIXES)
+    for mask, network in _PRIVATE_MASKS:
+        if ip & mask == network:
+            return True
+    return False

@@ -131,6 +131,43 @@ class TestResolution:
         assert not answer.root_queries
         assert answer.upstream
 
+    def test_answer_expiring_now_is_a_miss(self, zone, universe, latency):
+        from repro.dns.resolver import ANSWER_TTL_S
+
+        resolver = make_resolver(zone, universe, latency)
+        question = Question(universe.domains[0].name, QType.A)
+        resolver.handle(TimedQuestion(0.0, question))
+        assert resolver.handle(TimedQuestion(ANSWER_TTL_S - 0.5, question)).cached
+        assert resolver.handle(TimedQuestion(ANSWER_TTL_S, question)).upstream
+
+    def test_subdomain_resolves_via_registrable_parent(self, zone, universe, latency):
+        resolver = make_resolver(zone, universe, latency)
+        domain = universe.domains[3]
+        answer = resolver.handle(TimedQuestion(0.0, Question(f"www.{domain.name}", QType.A)))
+        auth = [u for u in answer.upstream if u.server.startswith("auth:")]
+        assert auth and {u.server[len("auth:"):] for u in auth} <= set(domain.nameservers)
+        assert all(u.qname == f"www.{domain.name}" for u in answer.upstream if not u.is_root)
+        # The parent's delegation is now cached: the parent itself skips the TLD.
+        parent = resolver.handle(TimedQuestion(1.0, Question(domain.name, QType.A)))
+        assert parent.upstream
+        assert not [u for u in parent.upstream if not u.server.startswith("auth:")]
+
+    def test_unknown_second_level_gets_tld_nxdomain(self, zone, universe, latency):
+        from repro.dns.resolver import NEGATIVE_TTL_S
+
+        resolver = make_resolver(zone, universe, latency)
+        tld = universe.domains[0].tld
+        question = Question(f"nosuchsite.{tld}", QType.A)
+        first = resolver.handle(TimedQuestion(0.0, question))
+        servers = [u.server for u in first.upstream]
+        assert servers == [servers[0], f"tld:{tld}"] and servers[0].startswith("root:")
+        assert first.upstream[0].qname == tld and first.upstream[0].qtype is QType.NS
+        assert not [s for s in servers if s.startswith("auth:")]
+        # Negative-cached for NEGATIVE_TTL_S, then the TLD is asked again.
+        assert resolver.handle(TimedQuestion(10.0, question)).cached
+        again = resolver.handle(TimedQuestion(NEGATIVE_TTL_S, question))
+        assert [u.server for u in again.upstream] == [f"tld:{tld}"]
+
     def test_letter_preference_shifts_traffic(self, zone, universe, latency):
         resolver = make_resolver(zone, universe, latency)
         rng = make_rng(5, "chromium")

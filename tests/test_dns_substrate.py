@@ -10,9 +10,9 @@ from repro.dns import (
     Question,
     QType,
     RootZone,
-    TtlCache,
 )
 from repro.geo import make_rng
+from tests.dns_oracle import TtlCache
 
 
 class TestQuestion:

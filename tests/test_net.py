@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import (
+    PRIVATE_PREFIXES,
     AddressPlan,
     IpToAsnMapper,
     Prefix,
@@ -82,6 +83,14 @@ class TestPrivateSpace:
     @pytest.mark.parametrize("ip", ["11.0.0.1", "8.8.8.8", "172.15.0.1", "100.63.0.1"])
     def test_public_not_flagged(self, ip):
         assert not is_private(str_to_ip(ip))
+
+    @pytest.mark.parametrize("prefix", PRIVATE_PREFIXES, ids=str)
+    def test_agrees_with_prefix_contains_at_edges(self, prefix):
+        first, last = prefix.network, prefix.network + prefix.size - 1
+        for ip in (first - 1, first, first + 1, last - 1, last, last + 1):
+            expected = any(p.contains(ip) for p in PRIVATE_PREFIXES)
+            assert is_private(ip) == expected, ip_to_str(ip)
+        assert is_private(first) and is_private(last)
 
 
 class TestAddressPlan:

