@@ -207,8 +207,8 @@ def main() -> None:
             value = data.get(key)
             rendered = fmt(value) if value is not None else "n/a"
             lines.append(f"| {label} | {paper_value} | {rendered} |")
-        lines.append(f"\n*(analysis: {elapsed:.1f}s; bench: "
-                     f"`benchmarks/` target `test_bench_{experiment_id}_*`)*\n")
+        lines.append(f"\n*(analysis: {elapsed:.1f}s; check: "
+                     "`tests/test_experiments.py::TestShapeTargets`)*\n")
         print(f"{experiment_id}: done ({elapsed:.1f}s)")
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -4,15 +4,14 @@
 Usage::
 
     python scripts/validate_obs.py TRACE.jsonl METRICS.json \
-        [--access-log ACCESS.jsonl] [--bench BENCH.json]
+        [--access-log ACCESS.jsonl]
 
 Validates the trace line by line against ``docs/trace.schema.json`` and
 the metrics dump against ``docs/metrics.schema.json`` using the
 stdlib-only validator in :mod:`repro.obs.schema`; ``--access-log``
 additionally checks a serve access log against
-``docs/accesslog.schema.json`` and ``--bench`` a perf-trajectory
-document against ``docs/bench.schema.json``.  Exits non-zero and prints
-every violation when any file does not conform.
+``docs/accesslog.schema.json``.  Exits non-zero and prints every
+violation when any file does not conform.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ REPO = Path(__file__).resolve().parent.parent
 try:
     from repro.obs.schema import (
         validate_access_log_file,
-        validate_bench_file,
         validate_metrics_file,
         validate_trace_file,
     )
@@ -35,7 +33,6 @@ except ImportError:  # uninstalled checkout: fall back to the src layout
     sys.path.insert(0, str(REPO / "src"))
     from repro.obs.schema import (
         validate_access_log_file,
-        validate_bench_file,
         validate_metrics_file,
         validate_trace_file,
     )
@@ -54,8 +51,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("metrics", help="--metrics JSON dump")
     parser.add_argument("--access-log", default=None,
                         help="serve --access-log JSONL file")
-    parser.add_argument("--bench", default=None,
-                        help="repro bench BENCH_*.json document")
     args = parser.parse_args(argv)
 
     checks = [
@@ -70,11 +65,6 @@ def main(argv: list[str]) -> int:
             validate_access_log_file(
                 args.access_log, _load_schema("accesslog.schema.json")
             ),
-        ))
-    if args.bench is not None:
-        checks.append((
-            "bench", args.bench,
-            validate_bench_file(args.bench, _load_schema("bench.schema.json")),
         ))
 
     failures = 0

@@ -11,7 +11,6 @@ Examples::
     anycast-repro summary
     anycast-repro serve --scale small --port 8459 --workers 2
     anycast-repro serve --trace daemon.jsonl --access-log access.jsonl
-    anycast-repro bench --quick
 
 Heavy substrates and experiment results are cached on disk (default
 ``~/.cache/anycast-repro``); rerunning any experiment is near-instant.
@@ -27,9 +26,8 @@ one JSON object per line (with the request's trace id attached inside
 the daemon).  ``repro serve`` adds ``--trace`` (request-rooted span
 trees, merged across the worker pool at shutdown), ``--access-log``
 (one JSON record per request), and ``GET /v1/debug/{tracez,statusz,
-vars}``.  ``repro bench`` runs the perf-trajectory suite and writes a
-schema-versioned ``BENCH_<code>.json``, diffing against a committed
-baseline (exit 3 on regression beyond ``--threshold``).
+vars}``.  Benchmarks run from outside the package: ``python3
+bench/run.py`` (see ``bench/README.md``).
 
 Failure semantics: experiments that crash, raise, or blow ``--timeout``
 are retried ``--retries`` times with exponential backoff, then
@@ -57,9 +55,8 @@ envelope (``repro.serve.schema``, checked against
 Exit codes: 0 success · 1 I/O error (unwritable ``--out``/``--csv``/
 ``--trace``/``--metrics``/``--access-log``, unbindable ``serve`` port)
 · 2 usage (unknown command/experiment, ``--resume`` mismatch) · 3 one
-or more experiments quarantined / ``bench`` regression beyond the
-threshold (partial results were produced) · 4 run preempted / serve
-grace expired (journal written; resumable).
+or more experiments quarantined (partial results were produced) · 4
+run preempted / serve grace expired (journal written; resumable).
 """
 
 from __future__ import annotations
@@ -205,28 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--access-log", metavar="FILE.jsonl", default=None,
         help="append one JSON record per request (feed to repro inspect)",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf-trajectory suite; write BENCH_<code>.json and "
-             "diff against a baseline",
-    )
-    _add_scenario_args(bench)
-    bench.add_argument("--quick", action="store_true",
-                       help="fewer rounds per benchmark (CI mode)")
-    bench.add_argument("--out", metavar="FILE.json", default=None,
-                       help="output document path "
-                            "(default BENCH_<code_version>.json in cwd)")
-    bench.add_argument("--baseline", metavar="FILE.json", default=None,
-                       help="baseline document to diff against (default: "
-                            "the checked-in benchmarks/BENCH_baseline.json)")
-    bench.add_argument("--threshold", type=float, default=0.30, metavar="FRACTION",
-                       help="regression tolerance vs the calibration-adjusted "
-                            "baseline (default 0.30 = 30%%)")
-    bench.add_argument("--select", metavar="SUBSTR", default=None,
-                       help="only run benchmarks whose name contains SUBSTR")
-    bench.add_argument("--no-compare", action="store_true",
-                       help="skip the baseline diff (record only)")
 
     runs = sub.add_parser(
         "runs", help="list run directories (journals), or prune completed ones"
@@ -648,47 +623,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve(config)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .obs import bench as obs_bench
-
-    metrics.reset()
-    try:
-        document = obs_bench.run_suite(
-            args.scale, args.seed, quick=args.quick, select=args.select,
-            cache_dir=args.cache_dir, no_cache=args.no_cache,
-        )
-    except ValueError as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 2
-    out = args.out or obs_bench.default_output_name(document)
-    try:
-        obs_bench.save_document(document, out)
-    except OSError as error:
-        print(f"cannot write bench document to {out}: {error}", file=sys.stderr)
-        return 1
-    print(obs_bench.render_document(document))
-    print(f"wrote {out}", file=sys.stderr)
-    if args.no_compare:
-        return 0
-    baseline_path = obs_bench.find_baseline(args.baseline)
-    if baseline_path is None:
-        print("no baseline to diff against; recorded only", file=sys.stderr)
-        return 0
-    try:
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"cannot read baseline {baseline_path}: {error}", file=sys.stderr)
-        return 1
-    try:
-        regressions = obs_bench.compare(document, baseline, threshold=args.threshold)
-    except ValueError as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 2
-    print(obs_bench.render_regressions(regressions, args.threshold))
-    return 3 if regressions else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(argv)
@@ -727,9 +661,6 @@ def _dispatch(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         return _cmd_serve(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
 
     scenario = _build_scenario(args)
 

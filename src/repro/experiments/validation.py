@@ -1,8 +1,8 @@
 """Reproduction self-check: the paper's qualitative claims as assertions.
 
 ``anycast-repro validate`` evaluates every shape target from DESIGN.md §4
-against a scenario and reports PASS/FAIL — the same checks the benchmark
-suite asserts, available without pytest.
+against a scenario and reports PASS/FAIL — the same checks
+``tests/test_experiments.py`` asserts, available without pytest.
 """
 
 from __future__ import annotations

@@ -17,9 +17,6 @@ The observability layer the rest of the package instruments against:
 * :mod:`repro.obs.inspect` — trace analysis (slowest spans, per-name
   exclusive-time aggregates, cache effectiveness) for ``repro inspect``,
   plus access-log aggregation for the serve daemon's request records.
-* :mod:`repro.obs.bench` — the ``repro bench`` perf-trajectory suite
-  (imported lazily, never re-exported here: its benchmark bodies reach
-  back into the wider package, so eager import would break leafness).
 
 This package is a leaf: it imports nothing from the rest of ``repro``,
 so any layer — geo, bgp, anycast, engine, cli — may instrument freely

@@ -1,10 +1,10 @@
-"""A minimal in-process asyncio server harness for benchmarking.
+"""A minimal in-process asyncio server harness for tests.
 
 Runs any ``handle_client(reader, writer)`` coroutine host (the serve
 daemon's ``App``) on an ephemeral loopback port inside a background
 thread — without the CLI's signal handlers, which only install on the
-main thread.  Used by :mod:`repro.obs.bench` to time the end-to-end
-HTTP path; keeps no ``repro`` imports so :mod:`repro.obs` stays a leaf.
+main thread.  ``tests/test_overload.py`` drives the real HTTP path
+through it; keeps no ``repro`` imports so :mod:`repro.obs` stays a leaf.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class LoopbackDaemon:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        # Benchmark teardown races client EOF against loop shutdown;
-        # cancelled connection handlers are expected noise here, not
-        # errors worth a traceback on the bench output.
+        # Teardown races client EOF against loop shutdown; cancelled
+        # connection handlers are expected noise here, not errors worth
+        # a traceback on the test output.
         self._loop.set_exception_handler(_quiet_cancellations)
         self._stop = asyncio.Event()
         server = await asyncio.start_server(self._app.handle_client, self._host, 0)

@@ -3,10 +3,9 @@
 Supports exactly what the checked-in schemas use — ``type`` (including
 union lists), ``required``, ``properties``, ``additionalProperties``
 (boolean or schema), ``items`` — so CI can enforce
-``docs/trace.schema.json``, ``docs/metrics.schema.json``,
-``docs/accesslog.schema.json``, and ``docs/bench.schema.json`` without
-a ``jsonschema`` dependency.  ``scripts/validate_obs.py`` is the CLI
-wrapper.
+``docs/trace.schema.json``, ``docs/metrics.schema.json`` and
+``docs/accesslog.schema.json`` without a ``jsonschema`` dependency.
+``scripts/validate_obs.py`` is the CLI wrapper.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "validate_metrics_file",
     "validate_jsonl_file",
     "validate_access_log_file",
-    "validate_bench_file",
 ]
 
 _TYPES = {
@@ -101,16 +99,6 @@ def validate_trace_file(path: str | os.PathLike, schema: dict) -> list[str]:
 def validate_access_log_file(path: str | os.PathLike, schema: dict) -> list[str]:
     """Validate a serve access-log JSONL file (every line one request record)."""
     return validate_jsonl_file(path, schema, kind="access-log")
-
-
-def validate_bench_file(path: str | os.PathLike, schema: dict) -> list[str]:
-    """Validate a ``BENCH_*.json`` perf-trajectory document."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            instance = json.load(handle)
-    except json.JSONDecodeError as error:
-        return [f"not JSON: {error}"]
-    return validate(instance, schema)
 
 
 def validate_metrics_file(path: str | os.PathLike, schema: dict) -> list[str]:

@@ -34,6 +34,10 @@ class TestRegistry:
 class TestShapeTargets:
     """The headline claims, asserted loosely enough for the small world."""
 
+    def test_fig01_larger_rings_cover_more_users(self, scenario):
+        data = run_experiment("fig01", scenario).data
+        assert data["R110/coverage_1000km"] >= data["R28/coverage_1000km"]
+
     def test_fig02a_nearly_everyone_inflated(self, scenario):
         data = run_experiment("fig02a", scenario).data
         assert data["all/frac_any_inflation"] > 0.85
@@ -46,7 +50,7 @@ class TestShapeTargets:
             if f"{name}/frac_over_100ms" in data
         ]
         assert max(heavy) > 0.10  # some letter inflates >100ms often
-        assert data["all/frac_over_100ms"] <= max(heavy)
+        assert data["all/frac_over_100ms"] < max(heavy)
 
     def test_fig03_median_about_one_query(self, scenario):
         data = run_experiment("fig03", scenario).data
@@ -56,7 +60,8 @@ class TestShapeTargets:
     def test_fig04a_latency_falls_with_ring_size(self, scenario):
         data = run_experiment("fig04a", scenario).data
         assert data["R28/median_rtt"] >= data["R110/median_rtt"]
-        assert data["page_gap_smallest_largest"] >= 0.0
+        # §5.2: the R28→R110 page-load gap is on the order of 100 ms.
+        assert data["page_gap_smallest_largest"] > 20.0
 
     def test_fig04b_growing_rings_rarely_regress(self, scenario):
         data = run_experiment("fig04b", scenario).data
@@ -64,21 +69,27 @@ class TestShapeTargets:
         assert keys
         for key in keys:
             assert data[key] > 0.7
+        # §5.2: growing the ring almost never hurts a location by >10 ms.
+        for key in (k for k in data if k.endswith("frac_regress_10ms")):
+            assert data[key] < 0.05
 
     def test_fig05a_cdn_mostly_uninflated_roots_not(self, scenario):
         data = run_experiment("fig05a", scenario).data
         assert data["R110/zero_mass"] > 0.5
         assert data["roots/zero_mass"] < 0.2
+        assert data["R110/frac_under_10ms"] > 0.8
 
     def test_fig05b_cdn_inflation_small(self, scenario):
         data = run_experiment("fig05b", scenario).data
-        for ring in ("R28", "R110"):
-            assert data[f"{ring}/frac_under_100ms"] > 0.85
+        values = [data[f"{ring}/frac_under_100ms"] for ring in ("R28", "R74", "R110")]
+        assert min(values) > 0.85
+        # ... and roughly ring-independent.
+        assert max(values) - min(values) < 0.1
 
     def test_fig06a_cdn_paths_shortest(self, scenario):
         data = run_experiment("fig06a", scenario).data
         assert data["CDN/share_2as"] > 0.3
-        assert data["CDN/share_2as"] > data["all_roots/share_2as"]
+        assert data["CDN/share_2as"] > 1.2 * data["all_roots/share_2as"]
 
     def test_fig06b_inflation_grows_with_path_length(self, scenario):
         data = run_experiment("fig06b", scenario).data
@@ -91,11 +102,12 @@ class TestShapeTargets:
         assert data["R28/efficiency"] >= data["R110/efficiency"] - 0.05
         # high efficiency does not mean low latency (B root)
         if "B/latency" in data:
-            assert data["B/latency"] > data["R110/latency"]
+            assert data["B/latency"] > 2.0 * data["R110/latency"]
 
     def test_fig07b_all_roots_cover_like_largest_ring(self, scenario):
         data = run_experiment("fig07b", scenario).data
         assert data["All Roots/at_1000km"] >= data["R110/at_1000km"] - 0.1
+        assert data["All Roots/at_500km"] > 0.6
 
     def test_fig08_junk_shifts_median_up(self, scenario):
         fig03 = run_experiment("fig03", scenario).data
@@ -119,10 +131,14 @@ class TestShapeTargets:
         ratio = fig11a["cdn/median"] / fig03["cdn/median"]
         assert 0.1 < ratio < 10.0
 
+    def test_fig11b_2020_inflation_stays_mild(self, scenario):
+        data = run_experiment("fig11b", scenario).data
+        assert data["all/frac_over_20ms"] < 0.6
+
     def test_fig12_cache_hits_dominate_fast_answers(self, scenario):
         data = run_experiment("fig12", scenario).data
         assert data["frac_sub_ms"] > 0.25
-        assert data["overall_miss_rate"] < 0.06
+        assert data["overall_miss_rate"] < 0.05
 
     def test_fig13_root_latency_barely_perceptible(self, scenario):
         data = run_experiment("fig13", scenario).data
@@ -144,15 +160,22 @@ class TestShapeTargets:
         data = run_experiment("table2", scenario).data
         assert 0.4 < data["fraction_invalid"] < 0.95
         assert 0.05 < data["fraction_ipv6"] < 0.2
+        assert 0.02 < data["fraction_private"] < 0.15
+
+    def test_table3_catalogues_every_dataset(self, scenario):
+        data = run_experiment("table3", scenario).data
+        assert data["n_datasets"] == 9
 
     def test_table4_join_buys_representativeness(self, scenario):
         data = run_experiment("table4", scenario).data
-        assert data["slash24/ditl_volume"] > data["ip/ditl_volume"]
+        assert data["slash24/ditl_volume"] > 2.0 * data["ip/ditl_volume"]
         assert data["slash24/cdn_users"] > data["ip/ditl_volume"]
+        assert data["slash24/cdn_users"] > 0.5
 
     def test_table5_redundancy_dominates(self, scenario):
         data = run_experiment("table5", scenario).data
         assert data["fraction_redundant"] > 0.4
+        assert data["fraction_bug_pattern"] > 0.5
         assert data.get("episode_steps", 0) >= 4
 
     def test_appc_ten_rtts_is_a_sound_lower_bound(self, scenario):

@@ -61,6 +61,13 @@ class TestWithdrawSites:
         assert 0.0 <= impact.rerouted_fraction <= 1.0
         assert impact.users_measured > 0
 
+    def test_withdrawal_reroutes_users(self, letters, user_base):
+        deployment = letters["K"]
+        degraded = withdraw_sites(deployment, [0, 1, 2])
+        impact = failure_impact(deployment, degraded, user_base)
+        assert impact.rerouted_fraction > 0.0
+        assert impact.median_rtt_after_ms >= impact.median_rtt_before_ms - 2.0
+
 
 class TestFailPops:
     def test_rings_shrink(self, cdn):
@@ -85,6 +92,13 @@ class TestFailPops:
         # a single-PoP failure is absorbed with modest degradation
         assert impact.median_degradation_ms < 100.0
 
+    def test_metro_outage_still_serves_users(self, cdn, user_base):
+        region = cdn.fabric.pops[0].region_id
+        failed = [p.site_id for p in cdn.fabric.pops if p.region_id == region]
+        degraded = fail_pops(cdn, failed)
+        impact = failure_impact(cdn.largest_ring, degraded.largest_ring, user_base)
+        assert impact.users_measured > 0
+
 
 class TestHijack:
     def test_transit_hijacker_captures_users(self, scenario, letters, user_base):
@@ -92,6 +106,12 @@ class TestHijack:
         result = hijack_letter(letters["K"], transit).measure(user_base)
         assert result.user_capture_fraction > 0.0
         assert result.ases_total > 0
+
+    def test_cdn_capture_stays_partial(self, scenario, cdn, user_base):
+        # Directly peered users are immune: capture stays well below 100%.
+        transit = scenario.internet.topology.ases_of_kind(ASKind.TRANSIT)[0]
+        result = hijack_cdn(cdn.fabric, transit).measure(user_base)
+        assert result.user_capture_fraction < 0.6
 
     def test_hijacker_always_captures_itself(self, scenario, letters):
         transit = scenario.internet.topology.ases_of_kind(ASKind.TRANSIT)[0]
@@ -189,6 +209,7 @@ class TestUnicastComparison:
     def test_penalty_nonnegative_and_bounded(self, scenario, letters, user_base):
         comparison = compare_with_unicast(letters["M"], user_base)
         assert comparison.anycast_penalty.values.min() >= 0.0
+        assert comparison.median_penalty_ms < 150.0
         assert 0.0 <= comparison.fraction_optimal_site <= 1.0
         assert comparison.users_measured > 0
 
@@ -222,6 +243,18 @@ class TestDdosDilution:
         assert large.max_site_share < small.max_site_share
         assert large.herfindahl() < small.herfindahl()
         assert large.sites_hit > small.sites_hit
+
+    def test_largest_ring_dilutes_like_largest_letter(self, scenario):
+        from repro.anycast import build_botnet, simulate_attack
+
+        botnet = build_botnet(scenario.internet, n_bots=800, seed=11)
+        shares = {
+            name: simulate_attack(scenario.letters_2018[name], botnet).max_site_share
+            for name in ("B", "L")
+        }
+        ring = simulate_attack(scenario.cdn.largest_ring, botnet).max_site_share
+        assert shares["L"] < shares["B"]
+        assert ring < shares["B"]
 
     def test_load_conserved(self, scenario, botnet):
         from repro.anycast import simulate_attack
