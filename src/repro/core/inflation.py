@@ -161,14 +161,16 @@ def root_geographic_inflation(
 def _tcp_index(capture: DitlCapture, letter: str) -> dict[tuple[int, int], tuple[float, int]]:
     """(slash24, site) → (sample-weighted RTT, samples) for one letter."""
     index: dict[tuple[int, int], tuple[float, int]] = {}
-    for row in capture.letters[letter].tcp:
-        key = (row.slash24, row.site_id)
+    tcp = capture.letters[letter].tcp
+    columns = (tcp.slash24, tcp.site_id, tcp.rtt_ms, tcp.samples)
+    for slash24, site_id, rtt_ms, row_samples in zip(*(c.tolist() for c in columns)):
+        key = (slash24, site_id)
         if key in index:
             rtt, samples = index[key]
-            total = samples + row.samples
-            index[key] = ((rtt * samples + row.rtt_ms * row.samples) / total, total)
+            total = samples + row_samples
+            index[key] = ((rtt * samples + rtt_ms * row_samples) / total, total)
         else:
-            index[key] = (row.rtt_ms, row.samples)
+            index[key] = (rtt_ms, row_samples)
     return index
 
 

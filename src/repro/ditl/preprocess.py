@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..net import is_private
-from .capture import DitlCapture
+import numpy as np
+
+from ..net import is_private_many
+from .capture import INVALID, PTR, VALID, DitlCapture
 
 __all__ = ["PreprocessStats", "LetterVolumes", "FilteredDitl", "preprocess"]
 
@@ -94,36 +96,66 @@ class FilteredDitl:
 
 
 def preprocess(capture: DitlCapture) -> FilteredDitl:
-    """Run the §2.1 pipeline over a raw capture."""
+    """Run the §2.1 pipeline over a raw capture.
+
+    Each volume dict lists its keys in the order they first occur in the
+    capture's rows, as summing row by row would: Fig. 10's point-mass
+    control breaks favorite-site ties by that order, and the cross-letter
+    float sums add in it.
+    """
     result = FilteredDitl(year=capture.year, duration_days=capture.duration_days)
     stats = result.stats
     for name, letter_capture in capture.letters.items():
-        volumes = LetterVolumes(letter=name, tcp_ok=letter_capture.tcp_ok)
-        result.per_letter[name] = volumes
-        for row in letter_capture.rows:
-            stats.total_queries += row.queries
-            if row.ipv6:
-                stats.dropped_ipv6 += row.queries
-                continue
-            if is_private(row.source_ip):
-                stats.dropped_private += row.queries
-                continue
-            slash24 = row.slash24
-            volumes.all_by_slash24[slash24] = (
-                volumes.all_by_slash24.get(slash24, 0) + row.queries
-            )
-            if row.category == "invalid":
-                stats.invalid_queries += row.queries
-                continue
-            if row.category == "ptr":
-                stats.ptr_queries += row.queries
-                continue
-            stats.valid_queries += row.queries
-            volumes.valid_by_slash24[slash24] = (
-                volumes.valid_by_slash24.get(slash24, 0) + row.queries
-            )
-            site_map = volumes.site_valid_by_slash24.setdefault(slash24, {})
-            site_map[row.site_id] = site_map.get(row.site_id, 0) + row.queries
-            ip_map = volumes.site_by_ip.setdefault(row.source_ip, {})
-            ip_map[row.site_id] = ip_map.get(row.site_id, 0) + row.queries
+        rows = letter_capture.rows
+        queries = rows.queries
+        private = is_private_many(rows.source_ip) & ~rows.ipv6
+        kept = ~(rows.ipv6 | private)
+        valid = kept & (rows.category == VALID)
+        stats.total_queries += int(queries.sum())
+        stats.dropped_ipv6 += int(queries[rows.ipv6].sum())
+        stats.dropped_private += int(queries[private].sum())
+        stats.invalid_queries += int(queries[kept & (rows.category == INVALID)].sum())
+        stats.ptr_queries += int(queries[kept & (rows.category == PTR)].sum())
+        stats.valid_queries += int(queries[valid].sum())
+
+        slash24 = rows.slash24
+        valid_sites, valid_queries = rows.site_id[valid], queries[valid]
+        result.per_letter[name] = LetterVolumes(
+            letter=name,
+            tcp_ok=letter_capture.tcp_ok,
+            valid_by_slash24=_sums_by(slash24[valid], valid_queries),
+            all_by_slash24=_sums_by(slash24[kept], queries[kept]),
+            site_valid_by_slash24=_site_sums_by(slash24[valid], valid_sites, valid_queries),
+            site_by_ip=_site_sums_by(rows.source_ip[valid], valid_sites, valid_queries),
+        )
     return result
+
+
+def _first_seen_groups(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key's first row, in row order, with the key's query sum."""
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=np.int64)
+    np.add.at(sums, group, queries)
+    order = np.argsort(first)
+    return first[order], sums[order]
+
+
+def _sums_by(keys: np.ndarray, queries: np.ndarray) -> dict[int, int]:
+    """``{key: summed queries}`` in first-seen key order."""
+    first, sums = _first_seen_groups(keys, queries)
+    return dict(zip(keys[first].tolist(), sums.tolist()))
+
+
+def _site_sums_by(
+    keys: np.ndarray, site_id: np.ndarray, queries: np.ndarray
+) -> dict[int, dict[int, int]]:
+    """``{key: {site: summed queries}}``, both levels in first-seen order."""
+    pairs = (keys.astype(np.uint64) << 32) | site_id.astype(np.uint32)
+    first, sums = _first_seen_groups(pairs, queries)
+    nested: dict[int, dict[int, int]] = {}
+    for key, site, count in zip(keys[first].tolist(), site_id[first].tolist(), sums.tolist()):
+        site_map = nested.get(key)
+        if site_map is None:
+            site_map = nested[key] = {}
+        site_map[site] = count
+    return nested

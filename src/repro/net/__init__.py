@@ -5,6 +5,7 @@ from .addr import (
     Prefix,
     ip_to_str,
     is_private,
+    is_private_many,
     slash24_of,
     slash24_to_str,
     str_to_ip,
@@ -17,6 +18,7 @@ __all__ = [
     "Prefix",
     "ip_to_str",
     "is_private",
+    "is_private_many",
     "slash24_of",
     "slash24_to_str",
     "str_to_ip",

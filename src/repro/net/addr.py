@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ip_to_str",
     "str_to_ip",
@@ -18,6 +20,7 @@ __all__ = [
     "Prefix",
     "PRIVATE_PREFIXES",
     "is_private",
+    "is_private_many",
 ]
 
 
@@ -113,3 +116,12 @@ def is_private(ip: int) -> bool:
         if ip & mask == network:
             return True
     return False
+
+
+def is_private_many(ips: np.ndarray) -> np.ndarray:
+    """:func:`is_private` over an array of addresses, as a boolean mask."""
+    ips = np.asarray(ips)
+    private = np.zeros(ips.shape, dtype=bool)
+    for mask, network in _PRIVATE_MASKS:
+        private |= (ips & mask) == network
+    return private

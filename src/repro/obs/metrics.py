@@ -211,10 +211,14 @@ class MetricsRegistry:
     def diff(after: dict, before: dict) -> dict:
         """``after - before`` for two snapshots of the *same* registry.
 
-        Counters and histogram counts/sums subtract exactly; gauges and
-        histogram extrema carry ``after``'s cumulative values, which stays
-        correct under the max/min merge rules.
+        Counters and histogram counts/sums subtract exactly; histogram
+        extrema carry ``after``'s cumulative values, which stays correct
+        under the max/min merge rules.  Gauges carry only those whose value
+        changed in the interval: a forked worker's inherited levels (say,
+        ``serve.breaker.state`` from while the breaker was open) must not
+        re-raise the parent's.
         """
+        gauges_before = before.get("gauges", {})
         counters = {
             name: value - before.get("counters", {}).get(name, 0)
             for name, value in after.get("counters", {}).items()
@@ -238,7 +242,11 @@ class MetricsRegistry:
         return {
             "schema": after.get("schema", SNAPSHOT_SCHEMA_VERSION),
             "counters": counters,
-            "gauges": dict(after.get("gauges", {})),
+            "gauges": {
+                name: value
+                for name, value in after.get("gauges", {}).items()
+                if gauges_before.get(name) != value
+            },
             "histograms": histograms,
         }
 

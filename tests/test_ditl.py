@@ -1,42 +1,77 @@
 """DITL pipeline: capture model, generation, preprocessing, join."""
 
+from itertools import islice
+
 import pytest
 
 from repro.ditl import (
+    CATEGORIES,
     DitlCapture,
     LetterCapture,
     QueryRow,
+    QueryRows,
     TcpRttRow,
+    TcpRttRows,
     join_ditl_cdn,
-    preprocess,
     volumes_by_asn,
 )
 from repro.net import str_to_ip
 
 
+def query_rows(*rows: QueryRow) -> QueryRows:
+    return QueryRows.from_rows(rows)
+
+
 class TestCaptureModel:
     def test_query_row_validation(self):
-        with pytest.raises(ValueError):
-            QueryRow(source_ip=1, site_id=0, category="bogus", queries=1)
-        with pytest.raises(ValueError):
-            QueryRow(source_ip=1, site_id=0, category="valid", queries=-1)
+        with pytest.raises(ValueError, match="unknown category"):
+            query_rows(QueryRow(source_ip=1, site_id=0, category="bogus", queries=1))
+        with pytest.raises(ValueError, match="unknown category code"):
+            QueryRows([1], [0], [len(CATEGORIES)], [1], [False])
+        with pytest.raises(ValueError, match="unknown category code"):
+            QueryRows([1], [0], [-1], [1], [False])
+        with pytest.raises(ValueError, match="negative query count"):
+            query_rows(QueryRow(source_ip=1, site_id=0, category="valid", queries=-1))
+        with pytest.raises(ValueError, match="unequal length"):
+            QueryRows([1, 2], [0, 0], [0, 0], [5], [False, False])
+        with pytest.raises(ValueError, match="unequal length"):
+            TcpRttRows([1], [0], [10.0, 11.0], [3])
 
     def test_slash24_property(self):
         row = QueryRow(str_to_ip("11.22.33.44"), 0, "valid", 5)
         assert row.slash24 == str_to_ip("11.22.33.0") >> 8
+        assert query_rows(row).slash24.tolist() == [row.slash24]
+
+    def test_rows_round_trip_through_views(self):
+        rows = (
+            QueryRow(1000, 0, "valid", 10),
+            QueryRow(2000, 1, "ptr", 5, ipv6=True),
+        )
+        table = query_rows(*rows)
+        assert len(table) == 2
+        assert list(table) == list(rows)
+        tcp = TcpRttRows([4, 5], [0, 1], [12.5, 30.0], [11, 2])
+        assert list(tcp) == [TcpRttRow(4, 0, 12.5, 11), TcpRttRow(5, 1, 30.0, 2)]
 
     def test_letter_capture_totals(self):
-        capture = LetterCapture(letter="X")
-        capture.rows.append(QueryRow(1000, 0, "valid", 10))
-        capture.rows.append(QueryRow(2000, 1, "invalid", 5))
+        capture = LetterCapture(
+            letter="X",
+            rows=query_rows(QueryRow(1000, 0, "valid", 10), QueryRow(2000, 1, "invalid", 5)),
+        )
         assert capture.total_queries == 15
         assert capture.queries_by_category() == {"valid": 10, "invalid": 5, "ptr": 0}
         assert len(capture.distinct_slash24s()) == 2
 
+    def test_empty_capture(self):
+        capture = LetterCapture(letter="X")
+        assert not capture.rows and not capture.tcp
+        assert capture.total_queries == 0
+        assert capture.distinct_slash24s() == set()
+
     def test_event_aggregation(self):
         event = DitlCapture(year=2018, duration_days=2.0)
-        event.letters["X"] = LetterCapture(letter="X")
-        event.letters["X"].rows.append(QueryRow(1000, 0, "valid", 10))
+        rows = query_rows(QueryRow(1000, 0, "valid", 10))
+        event.letters["X"] = LetterCapture(letter="X", rows=rows)
         assert event.total_daily_queries == 10
         assert event.letter_names == ["X"]
 
@@ -69,18 +104,18 @@ class TestGeneratedCapture(object):
         toward F (wide, peered) should exceed volume toward B (2 NA
         sites) across the whole capture."""
         capture = scenario.capture_2018
-        valid = {
-            name: sum(r.queries for r in capture.letters[name].rows
-                      if r.category == "valid" and not r.ipv6)
-            for name in ("F", "B")
-        }
+        valid = {}
+        for name in ("F", "B"):
+            rows = capture.letters[name].rows
+            is_valid_v4 = (rows.category == CATEGORIES.index("valid")) & ~rows.ipv6
+            valid[name] = int(rows.queries[is_valid_v4].sum())
         assert valid["F"] > valid["B"]
 
     def test_tcp_samples_reference_known_sites(self, scenario):
         for name, letter_capture in scenario.capture_2018.letters.items():
             deployment = scenario.letters_2018[name]
             site_ids = {s.site_id for s in deployment.sites}
-            for row in letter_capture.tcp[:200]:
+            for row in islice(letter_capture.tcp, 200):
                 assert row.site_id in site_ids
                 assert row.rtt_ms > 0
                 assert row.samples > 0

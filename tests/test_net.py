@@ -1,6 +1,8 @@
 """Addressing substrate: IPv4 arithmetic, allocation, IP→ASN mapping."""
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net import (
     PRIVATE_PREFIXES,
@@ -9,6 +11,7 @@ from repro.net import (
     Prefix,
     ip_to_str,
     is_private,
+    is_private_many,
     slash24_of,
     slash24_to_str,
     str_to_ip,
@@ -92,6 +95,22 @@ class TestPrivateSpace:
             assert is_private(ip) == expected, ip_to_str(ip)
         assert is_private(first) and is_private(last)
 
+
+    def test_vector_agrees_at_every_edge(self):
+        edges = [
+            ip
+            for p in PRIVATE_PREFIXES
+            for end in (p.network, p.network + p.size - 1)
+            for ip in (end - 1, end, end + 1)
+        ]
+        ips = np.array([0, 0xFFFFFFFF, *edges], dtype=np.uint32)
+        assert is_private_many(ips).tolist() == [is_private(ip) for ip in ips.tolist()]
+
+    @given(st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=50))
+    def test_vector_agrees_with_scalar(self, ips):
+        mask = is_private_many(np.array(ips, dtype=np.uint32))
+        assert mask.dtype == bool
+        assert mask.tolist() == [is_private(ip) for ip in ips]
 
 class TestAddressPlan:
     def test_allocation_is_disjoint(self):

@@ -223,6 +223,16 @@ class TestMetricsRegistry:
         assert delta["histograms"]["h"]["count"] == 1
         assert delta["histograms"]["h"]["sum"] == 2
 
+    def test_diff_carries_only_gauges_the_window_set(self):
+        registry = MetricsRegistry()
+        registry.gauge("inherited").set(2)
+        registry.gauge("moved").set(1)
+        before = registry.snapshot()
+        registry.gauge("moved").set(3)
+        registry.gauge("fresh").set(4)
+        delta = MetricsRegistry.diff(registry.snapshot(), before)
+        assert delta["gauges"] == {"moved": 3.0, "fresh": 4.0}
+
     def test_merge_adds_counts_and_maxes_gauges(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(2)

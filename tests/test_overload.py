@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -43,10 +44,11 @@ import pytest
 
 import repro
 from repro.engine.pool import MonitoredPool
-from repro.obs import metrics
+from repro.obs import MetricsRegistry, metrics
 from repro.obs._loopback import LoopbackDaemon
 from repro.serve.lifecycle import Lifecycle, ServeConfig
 from repro.serve.overload import (
+    BREAKER_STATE_VALUES,
     DEFAULT_DEADLINE_MS,
     MAX_DEADLINE_MS,
     AdmissionQueue,
@@ -300,6 +302,40 @@ class TestCircuitBreaker:
         breaker.record_success("probe")
         delta = metrics.counter("serve.breaker.transitions.total").value - before
         assert delta == 3  # closed->open->half_open->closed
+
+
+def _metered_task(attempt=0):
+    """A pool task that ships its metrics delta home, as serve tasks do."""
+    before = metrics.snapshot()
+    metrics.counter("test.metered.total").inc()
+    return True, MetricsRegistry.diff(metrics.snapshot(), before)
+
+
+class TestWorkerMetricsDelta:
+    def test_worker_forked_while_open_cannot_reopen_the_gauge(self):
+        """A worker forked while the breaker was open inherits state=open;
+        its first delta after the breaker re-closes must not carry that
+        stale level back into the parent's gauge."""
+        clock = _FakeClock()
+        breaker = CircuitBreaker(1, 5.0, clock=clock)
+        breaker.record_failure("pool")
+        assert metrics.gauge("serve.breaker.state").value == BREAKER_STATE_VALUES["open"]
+        pool = MonitoredPool(
+            1, task=_metered_task, mp_context=multiprocessing.get_context("fork")
+        )
+        try:
+            pool.start_serving()
+            clock.now += 5.0
+            assert breaker.route() == "probe"
+            breaker.record_success("probe")
+            assert breaker.state == "closed"
+            ok, delta, detail = pool.submit(()).result(timeout=60.0)
+        finally:
+            pool.shutdown()
+        assert (ok, detail) == (True, None)
+        metrics.merge(delta)
+        assert delta["counters"]["test.metered.total"] == 1
+        assert metrics.gauge("serve.breaker.state").value == BREAKER_STATE_VALUES["closed"]
 
 
 # -- MonitoredPool.abandon --------------------------------------------------

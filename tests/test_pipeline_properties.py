@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.ditl import DitlCapture, LetterCapture, QueryRow, preprocess
+from repro.ditl import DitlCapture, LetterCapture, QueryRow, QueryRows, preprocess
 from repro.net import str_to_ip
 
 _PUBLIC_BASE = str_to_ip("11.0.0.0")
@@ -31,7 +31,7 @@ captures = st.builds(
         year=2018,
         duration_days=2.0,
         letters={
-            letter: LetterCapture(letter=letter, rows=rows)
+            letter: LetterCapture(letter=letter, rows=QueryRows.from_rows(rows))
             for letter, rows in rows_by_letter.items()
         },
     ),
