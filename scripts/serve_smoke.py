@@ -11,13 +11,20 @@ each JSON response against the checked-in ``docs/serve.schema.json``,
 checks the ``X-Request-Id`` contract (always present, inbound ids
 honoured), asserts the Prometheus exposition carries the per-endpoint
 counters plus the phase histograms and resource gauges, then SIGTERMs
-and requires a clean drain (exit 0).  Exits non-zero on the first
-violation.
+and requires a clean drain (exit 0).
+
+A second leg boots a one-worker daemon in its own session, crashes its
+worker with an injected fault (so the retry runs on a worker respawned
+under the daemon's signal handlers), then sends SIGINT to the whole
+process group, as Ctrl-C in a terminal does.  The daemon must drain
+and exit 0 within ``--grace`` and leave no process of the group behind.
+Exits non-zero on the first violation.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -54,16 +61,18 @@ def _post(base: str, path: str, payload: dict):
         return response.status, response.read()
 
 
-def main() -> int:
-    with open(REPO / "docs" / "serve.schema.json", encoding="utf-8") as handle:
-        schema = json.load(handle)
+#: The Ctrl-C leg's drain window: the daemon must be gone within it.
+CTRL_C_GRACE_S = 10
 
+
+def _boot(*extra, **popen_kwargs):
+    """Start one small-scale daemon; returns ``(child, base_url or None)``."""
     child = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro.cli", "serve",
-         "--scale", "small", "--seed", "0", "--port", "0", "--workers", "2"],
+         "--scale", "small", "--seed", "0", "--port", "0", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        **popen_kwargs,
     )
-    port = None
     deadline = time.monotonic() + 600
     while time.monotonic() < deadline:
         line = child.stdout.readline()
@@ -71,12 +80,57 @@ def main() -> int:
             break
         print(f"  daemon: {line.rstrip()}")
         if line.startswith("serving on http://"):
-            port = int(line.rsplit(":", 1)[1])
-            break
-    if port is None:
-        child.kill()
+            return child, f"http://127.0.0.1:{int(line.rsplit(':', 1)[1])}"
+    child.kill()
+    return child, None
+
+
+def ctrl_c_leg() -> int:
+    """SIGINT to the daemon's process group after a worker respawn."""
+    child, base = _boot(
+        "--workers", "1", "--grace", str(CTRL_C_GRACE_S),
+        "--inject", "worker_crash:n=1:match=serve.scenario",
+        start_new_session=True,
+    )
+    if base is None:
+        return _fail("Ctrl-C daemon never printed its readiness line")
+    pgid = os.getpgid(child.pid)
+    failures = 0
+    try:
+        status, _ = _get(base, "/v1/scenario")  # crash, then retry on a respawn
+        if status != 200:
+            failures += _fail(f"/v1/scenario after a worker crash: HTTP {status}")
+        os.killpg(pgid, signal.SIGINT)
+        try:
+            out, _ = child.communicate(timeout=CTRL_C_GRACE_S)
+        except subprocess.TimeoutExpired:
+            return failures + _fail(f"Ctrl-C: no exit within {CTRL_C_GRACE_S}s")
+        if child.returncode != 0:
+            failures += _fail(f"Ctrl-C drain exited {child.returncode}:\n{out}")
+        try:
+            os.killpg(pgid, 0)
+            failures += _fail("Ctrl-C left processes of the daemon's group behind")
+        except ProcessLookupError:
+            pass
+        if not failures:
+            print("  SIGINT to the process group: clean drain, exit 0, group empty")
+        return failures
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)  # whatever a failure left behind
+        except ProcessLookupError:
+            pass
+        if child.poll() is None:
+            child.wait(timeout=30)
+
+
+def main() -> int:
+    with open(REPO / "docs" / "serve.schema.json", encoding="utf-8") as handle:
+        schema = json.load(handle)
+
+    child, base = _boot("--workers", "2")
+    if base is None:
         return _fail("daemon never printed its readiness line")
-    base = f"http://127.0.0.1:{port}"
 
     failures = 0
     try:
@@ -158,6 +212,7 @@ def main() -> int:
         failures += _fail(f"SIGTERM drain exited {child.returncode}:\n{out}")
     else:
         print("  SIGTERM: clean drain, exit 0")
+    failures += ctrl_c_leg()
     print("serve smoke:", "FAIL" if failures else "OK")
     return 1 if failures else 0
 

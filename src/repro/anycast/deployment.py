@@ -115,9 +115,6 @@ class Deployment(abc.ABC):
             self._min_km_by_region = matrix.min(axis=1)
         return self._min_km_by_region
 
-    # Backwards-compatible private spelling (pre-batch API).
-    _region_min_km = region_min_km
-
     def min_global_distance_km(self, region_id: int) -> float:
         """Distance from a region to its closest *global* site (Eq. 1/2)."""
         return float(self.region_min_km()[region_id])

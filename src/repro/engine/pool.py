@@ -1,7 +1,7 @@
 """Monitored worker pool: survives crashes, kills hangs, retries with backoff.
 
-``concurrent.futures.ProcessPoolExecutor`` treats one dead worker as a
-broken pool — every pending future raises and the executor is unusable.
+The standard library's ``ProcessPoolExecutor`` treats one dead worker as
+a broken pool — every pending future raises and the executor is unusable.
 For a chaos-hardened engine that is the wrong failure domain: one
 crashed, hung, or poisoned experiment must cost *that experiment a
 retry*, not the whole run.  :class:`MonitoredPool` therefore manages its
@@ -20,6 +20,14 @@ workers directly:
   ``retries`` failed re-runs a task is **quarantined** with a terminal
   status instead of failing the run.
 
+That is the batch scheduler, :meth:`MonitoredPool.run`.  A long-lived
+service uses the pool one task at a time instead: :meth:`MonitoredPool.call`
+is a coroutine the caller awaits on its own event loop.  It takes an
+idle worker in arrival order, waits for the answer with
+``loop.add_reader``, and kills and respawns a worker that died or
+outlived the caller's budget; it never retries (the caller owns
+request-level retry policy).
+
 Task protocol: the task function returns ``(ok, payload)``; ``ok=False``
 marks a *failed attempt* whose payload is still delivered (so the
 engine can merge the metrics/stage records a failed attempt produced).
@@ -28,16 +36,16 @@ deterministic fault plans replayable across retries.
 
 Failure accounting goes through :mod:`repro.obs.metrics`:
 ``engine.retries.total``, ``engine.quarantined.total``,
-``engine.worker_crashes.total``, and ``engine.timeouts.total``.
+``engine.worker_crashes.total``, ``engine.timeouts.total``, and, for
+:meth:`~MonitoredPool.call`, ``engine.pool.abandoned.total``.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
+import signal
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 
@@ -97,6 +105,10 @@ class _Worker:
 
 
 def _worker_main(conn, initializer, initargs, task_fn):  # pragma: no cover - child process
+    # A worker forked under a running event loop inherits the loop's
+    # signal wakeup fd, the write end of the parent's self-pipe: any
+    # signal it caught would be relayed into the parent as its own.
+    signal.set_wakeup_fd(-1)
     try:
         if initializer is not None:
             initializer(*initargs)
@@ -140,14 +152,8 @@ class MonitoredPool:
         self._initargs = initargs
         self._task_fn = task
         self._workers = [self._spawn() for _ in range(max_workers)]
-        # Serving mode (submit/start_serving) — None until first used.
-        self._serving = False
-        self._serve_thread: threading.Thread | None = None
-        self._serve_lock = threading.Lock()
-        self._serve_queue: deque[tuple[tuple, Future]] = deque()
-        self._abandoned: list[Future] = []
-        self._wake_recv = None
-        self._wake_send = None
+        self._idle = None  #: asyncio.Queue of idle workers, made by the first call()
+        self.waiting = 0  #: call()s waiting for an idle worker
 
     # -- lifecycle ---------------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -162,18 +168,19 @@ class MonitoredPool:
         return _Worker(process=process, conn=parent_conn)
 
     def _replace(self, worker: _Worker) -> None:
-        """Kill (if needed) and respawn one worker in place."""
+        """Kill (if needed) and respawn one worker in place.
+
+        SIGKILL, not SIGTERM: a forked worker inherits its parent's
+        Python-level signal handlers, which may well ignore SIGTERM.
+        """
         began = time.monotonic()
         try:
             worker.conn.close()
         except OSError:
             pass
         if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=5.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck in kernel
             worker.process.kill()
-            worker.process.join(timeout=5.0)
+        worker.process.join(timeout=5.0)
         fresh = self._spawn()
         worker.process, worker.conn = fresh.process, fresh.conn
         worker.task, worker.deadline = None, None
@@ -184,8 +191,6 @@ class MonitoredPool:
         ).observe((time.monotonic() - began) * 1000.0)
 
     def shutdown(self) -> None:
-        if self._serving or self._serve_thread is not None:
-            self.stop_serving()
         for worker in self._workers:
             try:
                 worker.conn.send(None)
@@ -194,7 +199,7 @@ class MonitoredPool:
         for worker in self._workers:
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():
-                worker.process.terminate()
+                worker.process.kill()
                 worker.process.join(timeout=5.0)
             try:
                 worker.conn.close()
@@ -208,188 +213,70 @@ class MonitoredPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    # -- serving mode ------------------------------------------------------
-    #
-    # ``run()`` is a batch API: it owns the scheduler loop for the whole
-    # call.  A long-lived service needs the dual: requests arrive one at
-    # a time from other threads and each wants its own completion.
-    # ``start_serving()`` moves the scheduler into a background thread;
-    # ``submit()`` then hands back a ``concurrent.futures.Future`` per
-    # request.  A pool is in one mode at a time — don't interleave
-    # ``run()`` with serving.
+    # -- one task at a time, on the caller's event loop ---------------------
+    async def call(self, args: tuple, timeout: float | None = None) -> tuple:
+        """Run one task on the next idle worker; returns ``(ok, payload, detail)``.
 
-    def start_serving(self) -> None:
-        """Start the background scheduler that drives :meth:`submit`."""
-        if self._serve_thread is not None:
-            return
-        self._wake_recv, self._wake_send = self._ctx.Pipe(duplex=False)
-        self._serving = True
-        self._serve_thread = threading.Thread(
-            target=self._serve_loop, name="repro-pool-serve", daemon=True
-        )
-        self._serve_thread.start()
-
-    @property
-    def queue_depth(self) -> int:
-        """Submitted tasks the scheduler has not yet picked up.
-
-        A backlog gauge for the serve daemon's resource sampler: grows
-        when every worker is busy and requests keep arriving.  Tasks the
-        scheduler already moved to its internal pending list (waiting
-        for an idle worker) are not counted — the number is a cheap
-        lower bound, not exact accounting.
+        Awaited on the caller's event loop; a pool serves calls from one
+        loop, and ``run()`` must not be interleaved with them.  Calls
+        wait for an idle worker in arrival order (:attr:`waiting` counts
+        them).  ``timeout`` bounds the whole call, the wait for a worker
+        included; when it runs out the call raises :class:`TimeoutError`.
+        A worker that already holds the task at that point may never
+        answer (the reason the budget ran out), so it is killed and
+        respawned to reclaim the slot, counted in
+        ``engine.pool.abandoned.total``.  A worker that dies mid-task is
+        replaced and the call raises ``RuntimeError``; a worker found
+        dead when the task is sent is replaced and the task resent.
         """
-        with self._serve_lock:
-            return len(self._serve_queue)
+        import asyncio  # not at module level: batch runs never need it
 
-    def submit(self, args: tuple) -> Future:
-        """Queue one task; the Future resolves to ``(ok, payload, detail)``.
-
-        A worker that dies mid-task is replaced and the Future carries a
-        ``RuntimeError`` — serving mode does not retry (the caller owns
-        request-level retry policy, unlike the batch path).
-        """
-        if not self._serving:
-            raise RuntimeError("pool is not serving; call start_serving() first")
-        future: Future = Future()
-        with self._serve_lock:
-            self._serve_queue.append((args, future))
+        loop = asyncio.get_running_loop()
+        expires = None if timeout is None else loop.time() + timeout
+        if self._idle is None:
+            self._idle = asyncio.Queue()
+            for worker in self._workers:
+                self._idle.put_nowait(worker)
+        self.waiting += 1
         try:
-            self._wake_send.send(None)
-        except OSError:  # pragma: no cover - scheduler tearing down
-            pass
-        return future
-
-    def abandon(self, future: Future) -> bool:
-        """Give up on a submitted task whose caller stopped waiting.
-
-        A queued task is simply cancelled.  A task already running holds
-        a worker that may never answer (the whole reason the caller's
-        deadline expired) — that worker is killed and respawned by the
-        scheduler, which is what reclaims the slot.  Returns False when
-        the task already completed (nothing to reclaim).  Counted in
-        ``engine.pool.abandoned.total``.
-        """
-        if future.cancel():
-            metrics.counter("engine.pool.abandoned.total").inc()
-            return True
-        if future.done():
-            return False
-        with self._serve_lock:
-            self._abandoned.append(future)
-        if self._wake_send is not None:
+            worker = await asyncio.wait_for(self._idle.get(), timeout)
+        except asyncio.TimeoutError:
+            raise TimeoutError(f"no idle worker within {timeout:.3f}s") from None
+        finally:
+            self.waiting -= 1
+        busy = False  #: the worker holds a task whose answer is still unread
+        try:
             try:
-                self._wake_send.send(None)
-            except OSError:  # pragma: no cover - scheduler tearing down
-                pass
-        metrics.counter("engine.pool.abandoned.total").inc()
-        return True
-
-    def stop_serving(self) -> None:
-        """Stop accepting work, let in-flight tasks finish, join the loop.
-
-        In-flight tasks keep their workers until they complete (the
-        caller bounds that wait — on expiry, :meth:`shutdown`'s process
-        kill unblocks the loop via pipe EOF).  Queued-but-unstarted
-        tasks are cancelled.
-        """
-        if self._serve_thread is None:
-            return
-        self._serving = False
-        try:
-            self._wake_send.send(None)
-        except OSError:  # pragma: no cover
-            pass
-        self._serve_thread.join(timeout=30.0)
-        self._serve_thread = None
-        with self._serve_lock:
-            pending = list(self._serve_queue)
-            self._serve_queue.clear()
-        for _, future in pending:
-            future.cancel()
-        for conn in (self._wake_recv, self._wake_send):
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-        self._wake_recv = self._wake_send = None
-
-    def _serve_loop(self) -> None:  # noqa: C901 - one scheduler, kept together
-        pending: deque[tuple[tuple, Future]] = deque()
-        running: dict[int, tuple[_Worker, Future]] = {}
-        while True:
-            with self._serve_lock:
-                while self._serve_queue:
-                    pending.append(self._serve_queue.popleft())
-                abandoned, self._abandoned = self._abandoned, []
-            for left in abandoned:
-                # The caller's deadline expired while this task ran: the
-                # worker may be wedged, so reclaim the slot by respawn.
-                # A completion that raced the abandon wins — nothing to do.
-                for key, (worker, future) in list(running.items()):
-                    if future is not left:
-                        continue
-                    self._replace(worker)
-                    del running[key]
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError("task abandoned (caller deadline expired)")
-                        )
-                    break
-            if not self._serving and not running:
-                for _, future in pending:
-                    future.cancel()
-                return
-            if self._serving:
-                for worker in self._workers:
-                    if not pending:
-                        break
-                    if worker.task is not None:
-                        continue
-                    args, future = pending.popleft()
-                    if not future.set_running_or_notify_cancel():
-                        continue
-                    try:
-                        worker.conn.send((0, args, 0))
-                    except (OSError, BrokenPipeError):
-                        self._replace(worker)
-                        try:
-                            worker.conn.send((0, args, 0))
-                        except (OSError, BrokenPipeError):  # pragma: no cover
-                            future.set_exception(RuntimeError("no worker available"))
-                            continue
-                    worker.task = 0  # busy marker; completions are per-worker here
-                    worker.started = time.monotonic()
-                    running[id(worker)] = (worker, future)
-            conns = [worker.conn for worker, _ in running.values()]
-            if self._wake_recv is not None:
-                conns.append(self._wake_recv)
-            ready = set(_connection_wait(conns, timeout=0.5)) if conns else set()
-            if self._wake_recv is not None and self._wake_recv in ready:
-                try:
-                    while self._wake_recv.poll():
-                        self._wake_recv.recv()
-                except (EOFError, OSError):  # pragma: no cover
-                    pass
-            for key, (worker, future) in list(running.items()):
-                if worker.conn not in ready:
-                    continue
-                try:
-                    _, ok, payload, detail = worker.conn.recv()
-                except (EOFError, OSError):
-                    worker.process.join(timeout=5.0)
-                    code = worker.process.exitcode
-                    metrics.counter("engine.worker_crashes.total").inc()
-                    self._replace(worker)
-                    del running[key]
-                    future.set_exception(
-                        RuntimeError(f"worker died (exit code {code})")
-                    )
-                    continue
-                worker.task, worker.deadline = None, None
-                del running[key]
-                future.set_result((ok, payload, detail))
+                worker.conn.send((0, args, 0))
+            except OSError:  # died while idle
+                self._replace(worker)
+                worker.conn.send((0, args, 0))
+            busy = True
+            answered = loop.create_future()
+            fd = worker.conn.fileno()
+            loop.add_reader(fd, lambda: answered.done() or answered.set_result(None))
+            try:
+                remaining = None if expires is None else max(0.0, expires - loop.time())
+                await asyncio.wait_for(answered, remaining)
+            except asyncio.TimeoutError:
+                raise TimeoutError(f"task outlived its {timeout:.3f}s budget") from None
+            finally:
+                loop.remove_reader(fd)
+            busy = False
+            try:
+                _, ok, payload, detail = worker.conn.recv()
+            except (EOFError, OSError):
+                worker.process.join(timeout=5.0)
+                code = worker.process.exitcode
+                metrics.counter("engine.worker_crashes.total").inc()
+                self._replace(worker)
+                raise RuntimeError(f"worker died (exit code {code})") from None
+            return ok, payload, detail
+        finally:
+            if busy:  # timed out or cancelled mid-task
+                self._replace(worker)
+                metrics.counter("engine.pool.abandoned.total").inc()
+            self._idle.put_nowait(worker)
 
     # -- scheduling --------------------------------------------------------
     def run(

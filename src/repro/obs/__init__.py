@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .trace import (
     Span,
-    TimerStack,
     Tracer,
     current_trace_id,
     load_trace,
@@ -73,7 +72,6 @@ __all__ = [
     "rss_peak_bytes",
     "sample_process_stats",
     "Span",
-    "TimerStack",
     "Tracer",
     "current_trace_id",
     "load_trace",

@@ -53,7 +53,6 @@ __all__ = [
     "load_trace",
     "set_trace_id",
     "current_trace_id",
-    "TimerStack",
 ]
 
 #: The innermost open span of the current context (thread / task / process).
@@ -360,35 +359,6 @@ def merge_shards(
 def load_trace(path: str | os.PathLike) -> list[dict]:
     """Read a merged trace JSONL file back into a list of span records."""
     return _read_jsonl(path)
-
-
-class TimerStack:
-    """Nested timing with exclusive (self) durations.
-
-    Internal legacy helper: the engine's reports are now derived from
-    :class:`Span` frames, which subsume this class (a span's ``self_s`` is
-    exactly a frame's ``self_s`` here).  Kept for compatibility with code
-    that imported it from ``repro.engine``; new code should use
-    ``trace.span(...)``.
-    """
-
-    def __init__(self):
-        self._child_time: list[float] = []
-
-    @contextmanager
-    def frame(self):
-        started = time.perf_counter()
-        self._child_time.append(0.0)
-        timing = {"self_s": 0.0, "total_s": 0.0}
-        try:
-            yield timing
-        finally:
-            elapsed = time.perf_counter() - started
-            children = self._child_time.pop()
-            if self._child_time:
-                self._child_time[-1] += elapsed
-            timing["self_s"] = elapsed - children
-            timing["total_s"] = elapsed
 
 
 #: The process-wide tracer every instrumentation site goes through.

@@ -242,7 +242,7 @@ async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
             "seed": app.service.scenario.params.seed,
             "trace_enabled": trace.enabled,
             "access_log": config.access_log,
-            "queue_depth": app.pool.queue_depth if app.pool is not None else 0,
+            "queue_depth": app.pool.waiting if app.pool is not None else 0,
         })
     if endpoint == "debug.vars":
         return _json_response(200, endpoint, {

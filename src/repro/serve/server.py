@@ -8,13 +8,15 @@ beyond the stdlib.
 Concurrency model: parsing and light endpoints run on the event loop;
 query endpoints offload through :meth:`App.execute` — either to a
 forked :class:`~repro.engine.pool.MonitoredPool` worker (``--workers
-N``, the default) or to a thread (``--workers 0``) — through the
+N``, the default), whose answer the loop itself awaits with
+:meth:`~repro.engine.pool.MonitoredPool.call` (so the daemon is one
+thread), or to a thread (``--workers 0``) — through the
 :mod:`repro.serve.overload` admission queue: ``--max-inflight``
 requests compute, ``--max-queue`` wait, and the rest are shed with 429
 (so a burst costs a bounded amount of memory and every refused client
 hears so immediately).  Each request carries a deadline (per-endpoint
-default or ``X-Deadline-Ms``); expiry answers 504 and abandons the
-pool task, killing + respawning its worker to reclaim the slot.  A
+default or ``X-Deadline-Ms``); expiry answers 504, and a worker still
+running the task is killed and respawned to reclaim the slot.  A
 circuit breaker around the pool trips on consecutive worker failures
 and routes queries to the warm in-process kernels until half-open
 probes prove the pool healthy again.  Workers fork *after* the service
@@ -208,20 +210,18 @@ class App:
                     current_trace_id(),
                 )
             seq, self._task_seq = self._task_seq, self._task_seq + 1
-            future = self.pool.submit((op, kwargs, trace_ctx, seq))
             timeout = deadline.remaining_s() if deadline is not None else None
             try:
-                ok, payload, detail = await asyncio.wait_for(
-                    asyncio.wrap_future(future), timeout
+                ok, payload, detail = await self.pool.call(
+                    (op, kwargs, trace_ctx, seq), timeout
                 )
-            except (TimeoutError, asyncio.TimeoutError):
-                # The slot must come back even though the task will not:
-                # abandon kills + respawns the worker running it.
-                self.pool.abandon(future)
+            except TimeoutError:
+                # The pool already reclaimed the slot: a worker still
+                # running the task was killed and respawned.
                 self.breaker.record_failure(route, "deadline expired")
                 count_expired("compute")
                 raise DeadlineExpired(deadline.budget_ms, where="compute") from None
-            except RuntimeError as error:  # worker died (or was abandoned)
+            except RuntimeError as error:  # worker died
                 last_death = str(error)
                 metrics.counter("serve.worker_lost.total").inc()
                 self.breaker.record_failure(route, last_death)
@@ -443,7 +443,7 @@ async def _sample_resources(app: App, period: float = SAMPLE_PERIOD_S) -> None:
             metrics.gauge("process.open_fds").set(stats["open_fds"])
         metrics.gauge("serve.inflight").set(app.lifecycle.inflight)
         metrics.gauge("serve.pool.queue_depth").set(
-            app.pool.queue_depth if app.pool is not None else 0
+            app.pool.waiting if app.pool is not None else 0
         )
         metrics.gauge("serve.admission.inflight").set(app.admission.inflight)
         metrics.gauge("serve.admission.queued").set(app.admission.queued)
@@ -522,7 +522,6 @@ def serve(config: ServeConfig, *, scenario=None) -> int:
                 task=service_task,
                 mp_context=multiprocessing.get_context("fork"),
             )
-            pool.start_serving()
         try:
             app = App(service, config, pool)
             try:

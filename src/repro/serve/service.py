@@ -371,7 +371,7 @@ def service_task(op: str, kwargs: dict, trace_ctx: tuple | None = None,
     ``seq`` is a parent-assigned, monotonically increasing submission
     number.  It stands in for the batch engine's attempt counter in the
     fault layer (``faults.set_attempt``), so worker-kind fault plans
-    stay deterministic in serving mode: a ``worker_crash:p=...`` draw
+    stay deterministic under ``repro serve``: a ``worker_crash:p=...`` draw
     differs per submission (a parent-side retry is a *new* submission,
     so it is not doomed to the same draw), and ``worker_crash:n=1``
     kills exactly the first submitted task rather than every task a

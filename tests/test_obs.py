@@ -318,7 +318,7 @@ class TestSchemaValidator:
 
 class TestDeprecations:
     def test_engine_timerstack_removed(self):
-        # Graduated deprecation: TimerStack is internal to repro.obs now.
+        # Graduated deprecation: TimerStack is gone; spans replace it.
         import repro.engine
 
         with pytest.raises(AttributeError):

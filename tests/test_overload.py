@@ -5,7 +5,9 @@ Three layers, mirroring how the machinery is built:
 * **Unit** — :class:`~repro.serve.overload.AdmissionQueue`,
   :class:`~repro.serve.overload.CircuitBreaker` (driven by a fake
   clock), :class:`~repro.serve.overload.Deadline`, and
-  ``MonitoredPool.abandon`` are exercised directly.
+  ``MonitoredPool.call`` (the pool round trip the daemon awaits on its
+  event loop: timeout kills, respawns, and workers that never relay a
+  signal into the parent) are exercised directly.
 * **In-process daemon** — a real ``App`` over :class:`LoopbackDaemon`
   with a monkeypatched slow operation, so genuine queue saturation and
   the drain-shed path are deterministic (no timing-dependent bursts).
@@ -324,12 +326,11 @@ class TestWorkerMetricsDelta:
             1, task=_metered_task, mp_context=multiprocessing.get_context("fork")
         )
         try:
-            pool.start_serving()
             clock.now += 5.0
             assert breaker.route() == "probe"
             breaker.record_success("probe")
             assert breaker.state == "closed"
-            ok, delta, detail = pool.submit(()).result(timeout=60.0)
+            ok, delta, detail = asyncio.run(pool.call((), timeout=60.0))
         finally:
             pool.shutdown()
         assert (ok, detail) == (True, None)
@@ -338,57 +339,149 @@ class TestWorkerMetricsDelta:
         assert metrics.gauge("serve.breaker.state").value == BREAKER_STATE_VALUES["closed"]
 
 
-# -- MonitoredPool.abandon --------------------------------------------------
+# -- MonitoredPool.call ------------------------------------------------------
 
 def _sleepy_task(duration, attempt=0):
     time.sleep(duration)
     return True, {"slept": duration}
 
 
+def _worker_pid(pool):
+    (worker,) = pool._workers
+    return worker.process.pid
+
+
+def _pool_counts(before):
+    """(abandoned, respawns) since the ``before`` metrics snapshot."""
+    delta = metrics.diff(metrics.snapshot(), before)
+    respawns = delta["histograms"].get("engine.pool.respawn_ms", {})
+    return (delta["counters"].get("engine.pool.abandoned.total", 0),
+            respawns.get("count", 0))
+
+
 class TestPoolAbandon:
     def test_abandon_running_task_respawns_the_worker(self):
         before = metrics.snapshot()
         pool = MonitoredPool(1, task=_sleepy_task)
-        try:
-            pool.start_serving()
-            future = pool.submit((30.0,))
-            deadline = time.monotonic() + 30.0
-            while not future.running() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert future.running(), "task never dispatched"
-            assert pool.abandon(future) is True
-            with pytest.raises(RuntimeError, match="abandoned"):
-                future.result(timeout=30.0)
+
+        async def scenario():
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                await pool.call((30.0,), timeout=0.5)
+            assert time.monotonic() - started < 10.0
             # The replacement worker serves the next request: the slot
             # came back long before the 30s sleep would have finished.
-            ok, payload, detail = pool.submit((0.01,)).result(timeout=60.0)
-            assert (ok, detail) == (True, None)
-            assert payload == {"slept": 0.01}
+            return await pool.call((0.01,), timeout=60.0)
+
+        try:
+            stale = _worker_pid(pool)
+            ok, payload, detail = asyncio.run(scenario())
+            assert _worker_pid(pool) != stale
         finally:
             pool.shutdown()
-        delta = metrics.diff(metrics.snapshot(), before)
-        assert delta["counters"].get("engine.pool.abandoned.total", 0) == 1
-        respawns = delta["histograms"].get("engine.pool.respawn_ms", {})
-        assert respawns.get("count", 0) >= 1
+        assert (ok, detail) == (True, None)
+        assert payload == {"slept": 0.01}
+        abandoned, respawns = _pool_counts(before)
+        assert abandoned == 1
+        assert respawns >= 1
 
     def test_abandon_is_a_noop_on_completed_tasks(self):
+        before = metrics.snapshot()
         pool = MonitoredPool(1, task=_sleepy_task)
         try:
-            pool.start_serving()
-            done = pool.submit((0.0,))
-            done.result(timeout=60.0)
-            assert pool.abandon(done) is False
-            # A queued-but-unstarted task is simply cancelled.
-            slow = pool.submit((10.0,))
-            deadline = time.monotonic() + 30.0
-            while not slow.running() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            queued = pool.submit((1.0,))
-            assert pool.abandon(queued) is True
-            assert queued.cancelled()
-            assert pool.abandon(slow) is True
+            pid = _worker_pid(pool)
+            ok, payload, detail = asyncio.run(pool.call((0.0,), timeout=60.0))
+            assert _worker_pid(pool) == pid
         finally:
             pool.shutdown()
+        assert (ok, payload, detail) == (True, {"slept": 0.0}, None)
+        assert _pool_counts(before) == (0, 0)
+
+    def test_timeout_while_waiting_for_a_worker_costs_no_worker(self):
+        """A budget that runs out before any worker came free raises
+        TimeoutError; the busy worker finishes its own task untouched."""
+        before = metrics.snapshot()
+        pool = MonitoredPool(1, task=_sleepy_task)
+
+        async def scenario():
+            busy = asyncio.ensure_future(pool.call((1.0,), timeout=60.0))
+            await asyncio.sleep(0.2)  # the only worker is now running it
+            waiter = asyncio.ensure_future(pool.call((0.0,), timeout=0.2))
+            await asyncio.sleep(0.05)
+            assert pool.waiting == 1
+            with pytest.raises(TimeoutError):
+                await waiter
+            assert pool.waiting == 0
+            return await busy
+
+        try:
+            pid = _worker_pid(pool)
+            ok, payload, detail = asyncio.run(scenario())
+            assert _worker_pid(pool) == pid
+        finally:
+            pool.shutdown()
+        assert (ok, payload, detail) == (True, {"slept": 1.0}, None)
+        assert _pool_counts(before) == (0, 0)
+
+    def test_worker_found_dead_at_send_is_replaced(self):
+        before = metrics.snapshot()
+        pool = MonitoredPool(1, task=_sleepy_task)
+        try:
+            (worker,) = pool._workers
+            worker.process.kill()
+            worker.process.join(timeout=30.0)
+            assert not worker.process.is_alive()
+            ok, payload, detail = asyncio.run(pool.call((0.0,), timeout=60.0))
+        finally:
+            pool.shutdown()
+        assert (ok, payload, detail) == (True, {"slept": 0.0}, None)
+        assert _pool_counts(before) == (0, 1)  # resent to a respawn, not abandoned
+
+
+class TestPoolSignals:
+    """Workers inherit their parent's signal handlers; they must not
+    ignore the pool's kills, nor relay signals into the parent."""
+
+    def test_timeout_kill_beats_an_ignoring_sigterm_handler(self):
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            pool = MonitoredPool(
+                1, task=_sleepy_task, mp_context=multiprocessing.get_context("fork")
+            )
+            try:
+                started = time.monotonic()
+                outcomes = pool.run([(30.0,)], timeout=0.3, retries=0)
+                elapsed = time.monotonic() - started
+            finally:
+                pool.shutdown()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcomes[0].status == "timeout"
+        assert elapsed < 3.0, f"killing a hung worker took {elapsed:.1f}s"
+
+    def test_worker_forked_under_a_loop_does_not_relay_signals(self):
+        fired = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGINT, fired.append, "SIGINT")
+            try:
+                pool = MonitoredPool(
+                    1, task=_sleepy_task, mp_context=multiprocessing.get_context("fork")
+                )
+                try:
+                    answer = await pool.call((0.0,), timeout=60.0)
+                    os.kill(_worker_pid(pool), signal.SIGINT)
+                    await asyncio.sleep(0.5)
+                finally:
+                    pool.shutdown()
+            finally:
+                loop.remove_signal_handler(signal.SIGINT)
+            return answer
+
+        ok, _, detail = asyncio.run(scenario())
+        assert (ok, detail) == (True, None)
+        assert fired == [], "the worker's SIGINT reached the parent's loop"
 
 
 # -- in-process daemon: genuine saturation, deterministic -------------------
@@ -654,6 +747,33 @@ class TestChaosDaemon:
             assert counters["serve.worker_lost.total"] == 1
             assert counters["serve.retries.total"] == 1
             assert daemon.breaker_state() == "closed"  # one blip, no trip
+
+    def test_deadline_kill_of_a_respawned_worker_does_not_drain(self, scenario):
+        # A worker respawned while the daemon serves is forked under the
+        # daemon's signal handlers; killing it at a deadline must not
+        # read as a SIGTERM to the daemon.
+        with _Daemon("--workers", "1",
+                     "--inject", "worker_crash:n=1:match=serve.scenario",
+                     "--inject",
+                     "deadline_expire:n=1:s=0.001:match=serve.resolve") as daemon:
+            status, _, _ = daemon.exchange("GET", "/v1/scenario")
+            assert status == 200  # crash, then a retry on a respawned worker
+            users = [[loc.asn, loc.region_id] for loc in scenario.user_base]
+            pairs = (users * (10_000 // len(users) + 1))[:10_000]
+            status, _, wrapped = daemon.exchange(
+                "POST", "/v1/resolve", payload={"deployment": "2018-K", "pairs": pairs},
+            )
+            assert status == 504
+            _assert_error_envelope(wrapped, 504, where="compute")
+            _, _, wrapped = daemon.exchange("GET", "/v1/healthz")
+            assert wrapped["payload"]["status"] == "ok"
+            started = time.monotonic()
+            status, _, _ = daemon.exchange(
+                "POST", "/v1/resolve", payload={"deployment": "2018-K", "pairs": pairs},
+            )
+            assert status == 200
+            assert time.monotonic() - started < 4.0
+            assert daemon.counters()["engine.pool.abandoned.total"] == 1
 
     def test_breaker_browns_out_instead_of_blacking_out(self, scenario):
         # Threshold 1 and a prohibitive cooldown: the first crash opens
