@@ -420,8 +420,9 @@ def run_experiments(
     Parameters
     ----------
     experiment_ids:
-        Iterable of registered experiment ids; results come back in the
-        same order.  Unknown ids raise ``KeyError`` before anything runs.
+        Iterable of ids from ``list_experiments()``; results come back
+        in the same order.  Unknown ids raise ``KeyError`` before
+        anything runs.
     scenario:
         The :class:`Scenario` to run against.  When omitted, one is
         built from ``scale``/``seed``/``cache``.
@@ -431,8 +432,8 @@ def run_experiments(
     prewarm:
         Materialise the scenario's substrate stages in the parent (so
         workers hit the cache instead of each rebuilding the world).
-        By default this happens when the cache is enabled and the batch
-        is large enough (≥ 8 ids) for the shared substrate to pay off.
+        By default this happens when the cache is enabled and enough
+        results miss it (≥ 8 ids) for the shared substrate to pay off.
     timeout:
         Per-experiment attempt deadline in seconds (pooled runs only —
         a hung worker is killed and the experiment retried).  ``None``
@@ -579,8 +580,13 @@ def _run_pooled(
     """Fan ``run_ids`` across a MonitoredPool; returns ``{id: result}``."""
     if prewarm is None:
         # Prewarming pays off when many experiments share the substrate;
-        # for a handful of ids, let each worker pull only what it needs.
-        prewarm = scenario.cache.enabled and len(run_ids) >= 8
+        # for a handful of result misses, let each worker pull only what
+        # it needs.  Cached results need no substrate at all.
+        misses = sum(
+            scenario.cache.size_of(scenario.stage_key(f"result__{experiment_id}")) is None
+            for experiment_id in run_ids
+        )
+        prewarm = scenario.cache.enabled and misses >= 8
     if prewarm:
         stage_mark = len(scenario.report.stages)
         with trace.span("engine.prewarm"):

@@ -1,17 +1,17 @@
 """Experiment runners: one per table and figure of the paper.
 
-Importing this package registers every experiment; use
-:func:`run_experiment`/:func:`run_experiments`/:func:`list_experiments`
-to drive them.
+:data:`~repro.experiments.base.EXPERIMENT_MODULES` lists every
+experiment; use :func:`run_experiment`/:func:`run_experiments`/
+:func:`list_experiments` to drive them.  Importing this package loads no
+runner module and no substrate: each loads when a result first misses
+the cache.
 """
 
 from ..engine import ArtifactCache, ExperimentResults, RunReport, run_experiments
-from . import figures_cdn, figures_local, figures_roots, figures_system, tables, whatif  # noqa: F401
 from .base import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
     execute_experiment,
-    experiment,
     list_experiments,
     run_experiment,
     write_series_csv,
@@ -30,7 +30,6 @@ __all__ = [
     "canonical_payload",
     "result_digest",
     "execute_experiment",
-    "experiment",
     "list_experiments",
     "run_experiment",
     "run_experiments",

@@ -1,4 +1,4 @@
-"""Experiment result container and registry plumbing.
+"""Experiment result container and the experiment table.
 
 ``run_experiment`` is the single-experiment entry point; it routes
 through the same engine path as :func:`repro.engine.run_experiments`
@@ -7,6 +7,11 @@ scenario's :class:`RunReport` identically.  Both consult the scenario's
 content-addressed artifact cache: a rerun of an experiment whose
 ``(id, scale, seed, params, code)`` key is already cached replays the
 stored result instead of recomputing it.
+
+:data:`EXPERIMENT_MODULES` names every experiment and the module that
+defines it.  A runner module is imported only when its result misses the
+cache, so listing experiments or replaying cached results never imports
+the substrate.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from __future__ import annotations
 import csv
 import os
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from importlib import import_module
 
 from .. import faults
 from ..engine import ExperimentRecord
@@ -23,10 +28,10 @@ from ..obs import get_logger, metrics, trace
 from .scenario import Scenario
 
 __all__ = [
+    "EXPERIMENT_MODULES",
     "RESULT_SCHEMA_VERSION",
     "ExperimentResult",
     "execute_experiment",
-    "experiment",
     "run_experiment",
     "list_experiments",
     "write_series_csv",
@@ -39,6 +44,38 @@ __all__ = [
 RESULT_SCHEMA_VERSION = 4
 
 _log = get_logger("engine.experiment")
+
+#: Experiment id → the module under ``repro/experiments/`` that defines
+#: it, as a function named after the id taking a :class:`Scenario`.
+EXPERIMENT_MODULES: dict[str, str] = {
+    "appc": "figures_local",
+    "fig01": "figures_cdn",
+    "fig02a": "figures_roots",
+    "fig02b": "figures_roots",
+    "fig03": "figures_roots",
+    "fig04a": "figures_cdn",
+    "fig04b": "figures_cdn",
+    "fig05a": "figures_cdn",
+    "fig05b": "figures_cdn",
+    "fig06a": "figures_system",
+    "fig06b": "figures_system",
+    "fig07a": "figures_system",
+    "fig07b": "figures_system",
+    "fig08": "figures_roots",
+    "fig09": "figures_roots",
+    "fig10": "figures_roots",
+    "fig11a": "figures_roots",
+    "fig11b": "figures_roots",
+    "fig12": "figures_local",
+    "fig13": "figures_local",
+    "fig14": "figures_cdn",
+    "table1": "tables",
+    "table2": "tables",
+    "table3": "tables",
+    "table4": "tables",
+    "table5": "figures_local",
+    "whatif01": "whatif",
+}
 
 
 @dataclass(slots=True)
@@ -96,22 +133,6 @@ def write_series_csv(result: ExperimentResult, directory: str) -> list[str]:
     return written
 
 
-_REGISTRY: dict[str, Callable[[Scenario], ExperimentResult]] = {}
-
-
-def experiment(experiment_id: str):
-    """Decorator registering a runner under ``experiment_id``."""
-
-    def decorate(func: Callable[[Scenario], ExperimentResult]):
-        if experiment_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = func
-        func.experiment_id = experiment_id
-        return func
-
-    return decorate
-
-
 def execute_experiment(experiment_id: str, scenario: Scenario) -> ExperimentResult:
     """The engine's execution core: run one experiment, cache-aware.
 
@@ -120,17 +141,16 @@ def execute_experiment(experiment_id: str, scenario: Scenario) -> ExperimentResu
     seed, params, code)``, that result is replayed without touching the
     substrate.  Either way the returned result carries a fresh
     ``.report`` record and the run is appended to ``scenario.report``.
+    Only a miss imports the experiment's module.
 
     Both :func:`run_experiment` and
     :func:`repro.engine.run_experiments` (serial and pooled) funnel
     through this one function, so report population is identical no
     matter which entry point is used.
     """
-    try:
-        runner = _REGISTRY[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
+    if experiment_id not in EXPERIMENT_MODULES:
+        known = ", ".join(list_experiments())
+        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
 
     with trace.span(
         f"experiment.{experiment_id}", kind="experiment", experiment=experiment_id
@@ -170,7 +190,10 @@ def execute_experiment(experiment_id: str, scenario: Scenario) -> ExperimentResu
                     size = scenario.cache.size_of(key)
                 else:
                     hit = False
-                    result = runner(scenario)
+                    module = import_module(
+                        f".{EXPERIMENT_MODULES[experiment_id]}", __package__
+                    )
+                    result = getattr(module, experiment_id)(scenario)
                     size = scenario.cache.store(key, result)
         span.set(cache_hit=hit, size_bytes=size)
         metrics.counter("engine.experiments.total").inc()
@@ -186,7 +209,7 @@ def execute_experiment(experiment_id: str, scenario: Scenario) -> ExperimentResu
 
 
 def run_experiment(experiment_id: str, scenario: Scenario) -> ExperimentResult:
-    """Run one registered experiment against a scenario.
+    """Run one experiment against a scenario.
 
     A thin wrapper over the engine: equivalent to
     ``run_experiments([experiment_id], scenario)[0]``, so the returned
@@ -205,4 +228,4 @@ def run_experiment(experiment_id: str, scenario: Scenario) -> ExperimentResult:
 
 
 def list_experiments() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(EXPERIMENT_MODULES)

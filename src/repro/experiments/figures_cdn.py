@@ -16,7 +16,7 @@ from ..core import (
     root_geographic_inflation,
     root_latency_inflation,
 )
-from .base import ExperimentResult, experiment
+from .base import ExperimentResult
 from .scenario import Scenario
 
 _RTT_POINTS = tuple(range(0, 125, 5))
@@ -29,7 +29,6 @@ def _ring_order(scenario: Scenario) -> list[str]:
     return sorted(scenario.cdn.rings, key=lambda name: int(name.lstrip("R")))
 
 
-@experiment("fig01")
 def fig01(scenario: Scenario) -> ExperimentResult:
     """Ring footprints and user concentrations (the Fig. 1 map, as data)."""
     result = ExperimentResult("fig01", "CDN rings and user populations (Fig. 1)")
@@ -71,7 +70,6 @@ def fig01(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig04a")
 def fig04a(scenario: Scenario) -> ExperimentResult:
     """Ring latency per RTT and per page load, from Atlas probes."""
     samples = {
@@ -101,7 +99,6 @@ def fig04a(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig04b")
 def fig04b(scenario: Scenario) -> ExperimentResult:
     """Latency change per ⟨region, AS⟩ when moving to the next ring."""
     transitions = ring_transitions(scenario.client_measurements, _ring_order(scenario))
@@ -117,7 +114,6 @@ def fig04b(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig05a")
 def fig05a(scenario: Scenario) -> ExperimentResult:
     """CDN geographic inflation per RTT, with the root comparison."""
     inflation = cdn_geographic_inflation(scenario.server_logs, scenario.cdn)
@@ -138,7 +134,6 @@ def fig05a(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig05b")
 def fig05b(scenario: Scenario) -> ExperimentResult:
     """CDN latency inflation per RTT, with the root comparison."""
     inflation = cdn_latency_inflation(scenario.server_logs, scenario.cdn)
@@ -159,7 +154,6 @@ def fig05b(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig14")
 def fig14(scenario: Scenario) -> ExperimentResult:
     """Largest-ring front-ends and relative user latency by region."""
     ring = scenario.cdn.largest_ring

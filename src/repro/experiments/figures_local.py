@@ -8,11 +8,10 @@ import numpy as np
 
 from ..core import analyze_redundancy, find_bug_episode, format_table
 from ..web import build_page_corpus, estimate_rtts_per_page_load
-from .base import ExperimentResult, experiment
+from .base import ExperimentResult
 from .scenario import Scenario
 
 
-@experiment("fig12")
 def fig12(scenario: Scenario) -> ExperimentResult:
     """CDF of client DNS latencies at the shared (ISI-style) resolver."""
     isi = scenario.isi_result
@@ -35,7 +34,6 @@ def fig12(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig13")
 def fig13(scenario: Scenario) -> ExperimentResult:
     """Per-user-query root latency (0 when cached) — the log-tail CDF."""
     isi = scenario.isi_result
@@ -76,7 +74,6 @@ def fig13(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("appc")
 def appc(scenario: Scenario) -> ExperimentResult:
     """Appendix C: the ≥10-RTTs-per-page-load lower bound."""
     corpus = build_page_corpus(n_pages=9, seed=scenario.seed + 19)
@@ -96,7 +93,6 @@ def appc(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("table5")
 def table5(scenario: Scenario) -> ExperimentResult:
     """Appendix E: redundancy statistics and one Table-5 bug episode."""
     trace = scenario.isi_result.trace

@@ -13,7 +13,7 @@ from ..core import (
     root_latency_inflation,
 )
 from ..ditl import volumes_by_asn
-from .base import ExperimentResult, experiment
+from .base import ExperimentResult
 from .scenario import Scenario
 
 _GI_POINTS = tuple(range(0, 145, 5))
@@ -23,7 +23,6 @@ _QPD_POINTS = tuple(
 )
 
 
-@experiment("fig02a")
 def fig02a(scenario: Scenario) -> ExperimentResult:
     """Geographic inflation per root query, CDF of users (Eq. 1)."""
     inflation = root_geographic_inflation(scenario.joined_2018, scenario.letters_2018)
@@ -50,7 +49,6 @@ def fig02a(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig02b")
 def fig02b(scenario: Scenario) -> ExperimentResult:
     """Latency inflation per root query over the TCP subset (Eq. 2)."""
     inflation = root_latency_inflation(
@@ -98,7 +96,6 @@ def _amortization_result(
     return result
 
 
-@experiment("fig03")
 def fig03(scenario: Scenario) -> ExperimentResult:
     """Root queries per user per day (Ideal / CDN / APNIC)."""
     return _amortization_result(
@@ -107,7 +104,6 @@ def fig03(scenario: Scenario) -> ExperimentResult:
     )
 
 
-@experiment("fig08")
 def fig08(scenario: Scenario) -> ExperimentResult:
     """Fig. 3 with invalid-TLD and PTR queries re-included (App. B.1)."""
     return _amortization_result(
@@ -116,7 +112,6 @@ def fig08(scenario: Scenario) -> ExperimentResult:
     )
 
 
-@experiment("fig09")
 def fig09(scenario: Scenario) -> ExperimentResult:
     """Fig. 3 without the /24 join (App. B.2) — far less representative."""
     return _amortization_result(
@@ -125,7 +120,6 @@ def fig09(scenario: Scenario) -> ExperimentResult:
     )
 
 
-@experiment("fig10")
 def fig10(scenario: Scenario) -> ExperimentResult:
     """Fraction of a /24's queries missing its favorite site (Eq. 3)."""
     result = ExperimentResult("fig10", "Queries away from the favorite site (Fig. 10)")
@@ -142,7 +136,6 @@ def fig10(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig11a")
 def fig11a(scenario: Scenario) -> ExperimentResult:
     """2020-DITL amortisation (App. B.3): conclusions do not change."""
     rows = scenario.joined_2020
@@ -157,7 +150,6 @@ def fig11a(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig11b")
 def fig11b(scenario: Scenario) -> ExperimentResult:
     """2020-DITL geographic inflation (App. B.3)."""
     inflation = root_geographic_inflation(scenario.joined_2020, scenario.letters_2020)

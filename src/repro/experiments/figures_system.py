@@ -15,7 +15,7 @@ from ..core import (
     path_length_distribution,
     root_geographic_inflation,
 )
-from .base import ExperimentResult, experiment
+from .base import ExperimentResult
 from .scenario import Scenario
 
 
@@ -23,7 +23,6 @@ def _ring_order(scenario: Scenario) -> list[str]:
     return sorted(scenario.cdn.rings, key=lambda name: int(name.lstrip("R")))
 
 
-@experiment("fig06a")
 def fig06a(scenario: Scenario) -> ExperimentResult:
     """AS-path-length distribution to the CDN and to each letter."""
     orgs = scenario.internet.orgs
@@ -70,7 +69,6 @@ def fig06a(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig06b")
 def fig06b(scenario: Scenario) -> ExperimentResult:
     """Geographic inflation vs AS path length (box stats per bucket)."""
     orgs = scenario.internet.orgs
@@ -108,7 +106,6 @@ def fig06b(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig07a")
 def fig07a(scenario: Scenario) -> ExperimentResult:
     """Median latency and efficiency versus deployment size."""
     result = ExperimentResult("fig07a", "Latency & efficiency vs sites (Fig. 7a)")
@@ -150,7 +147,6 @@ def fig07a(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("fig07b")
 def fig07b(scenario: Scenario) -> ExperimentResult:
     """Coverage-radius curves for rings, letters, and All Roots."""
     result = ExperimentResult("fig07b", "Site coverage of users (Fig. 7b)")

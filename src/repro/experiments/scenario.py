@@ -8,7 +8,9 @@ params-digest, code-version)``, memoised in-process, and pickled into a
 content-addressed on-disk cache so a second run of any experiment — in
 this process, another process, or a later CLI invocation — is
 near-instant.  Every materialisation is recorded (wall time, cache
-hit/miss, artifact size) in ``scenario.report``.
+hit/miss, artifact size) in ``scenario.report``.  Each stage imports its
+builder inside its body, so a scenario whose stages all hit the cache
+never imports the substrate modules that would build them.
 
 Two presets:
 
@@ -23,27 +25,8 @@ import functools
 import time
 import tracemalloc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..anycast import (
-    CdnSpec,
-    CdnSystem,
-    IndependentDeployment,
-    LETTERS_2018,
-    LETTERS_2020,
-    build_cdn,
-    build_root_system,
-)
-from ..dns import DomainUniverse, RootZone, StaticRootLatency
-from ..ditl import (
-    DitlCapture,
-    FilteredDitl,
-    JoinStats,
-    JoinedRecursive,
-    generate_ditl,
-    join_ditl_cdn,
-    preprocess,
-    volumes_by_asn,
-)
 from .. import faults
 from ..engine import (
     ArtifactCache,
@@ -53,28 +36,23 @@ from ..engine import (
     code_version,
     params_digest,
 )
-from ..measurement import (
-    AtlasPlatform,
-    ClientSideMeasurements,
-    Geolocator,
-    ServerSideLogs,
-    collect_client_measurements,
-    collect_server_logs,
-)
-from ..net import IpToAsnMapper
 from ..obs import get_logger, metrics, rss_peak_bytes, trace
-from ..topology import GeneratedInternet, TopologyParams, build_internet
-from ..users import (
-    ApnicUserCounts,
-    CdnUserCounts,
-    UserBase,
-    build_apnic_counts,
-    build_cdn_counts,
-    build_recursives,
-    build_user_base,
-    build_world,
-)
-from ..users.recursives import RecursivePopulation
+from ..topology import TopologyParams
+
+if TYPE_CHECKING:  # stage builders import on first build, not with the scenario
+    from ..anycast import CdnSystem, IndependentDeployment
+    from ..ditl import DitlCapture, FilteredDitl, JoinStats, JoinedRecursive
+    from ..dns import DomainUniverse, RootZone, StaticRootLatency
+    from ..measurement import (
+        AtlasPlatform,
+        ClientSideMeasurements,
+        Geolocator,
+        ServerSideLogs,
+    )
+    from ..net import IpToAsnMapper
+    from ..topology import GeneratedInternet
+    from ..users import ApnicUserCounts, CdnUserCounts, UserBase
+    from ..users.recursives import RecursivePopulation
 
 __all__ = [
     "ScenarioConfig",
@@ -276,6 +254,9 @@ class Scenario:
     # -- substrate ---------------------------------------------------------
     @_stage
     def internet(self) -> GeneratedInternet:
+        from ..topology import build_internet
+        from ..users import build_world
+
         world = build_world(
             seed=self.seed,
             total_population=self.config.total_population,
@@ -285,36 +266,52 @@ class Scenario:
 
     @_stage
     def user_base(self) -> UserBase:
+        from ..users import build_user_base
+
         return build_user_base(self.internet, seed=self.seed + 1)
 
     @_stage
     def recursives(self) -> RecursivePopulation:
+        from ..users import build_recursives
+
         return build_recursives(self.internet, self.user_base, seed=self.seed + 2)
 
     @_stage
     def zone(self) -> RootZone:
+        from ..dns import RootZone
+
         return RootZone(n_tlds=self.config.n_tlds, seed=self.seed + 3)
 
     @_stage
     def universe(self) -> DomainUniverse:
+        from ..dns import DomainUniverse
+
         return DomainUniverse(self.zone, n_domains=self.config.n_domains, seed=self.seed + 4)
 
     # -- deployments ---------------------------------------------------------
     @_stage
     def letters_2018(self) -> dict[str, IndependentDeployment]:
+        from ..anycast import LETTERS_2018, build_root_system
+
         return build_root_system(self.internet, LETTERS_2018, seed=self.seed + 5)
 
     @_stage
     def letters_2020(self) -> dict[str, IndependentDeployment]:
+        from ..anycast import LETTERS_2020, build_root_system
+
         return build_root_system(self.internet, LETTERS_2020, seed=self.seed + 6)
 
     @_stage
     def cdn(self) -> CdnSystem:
+        from ..anycast import CdnSpec, build_cdn
+
         return build_cdn(self.internet, CdnSpec(), seed=self.seed + 7)
 
     # -- datasets --------------------------------------------------------------
     @_stage
     def capture_2018(self) -> DitlCapture:
+        from ..ditl import generate_ditl
+
         return generate_ditl(
             self.internet, self.letters_2018, self.recursives, self.zone,
             year=2018, seed=self.seed + 8,
@@ -322,10 +319,14 @@ class Scenario:
 
     @_stage
     def filtered_2018(self) -> FilteredDitl:
+        from ..ditl import preprocess
+
         return preprocess(self.capture_2018)
 
     @_stage
     def capture_2020(self) -> DitlCapture:
+        from ..ditl import generate_ditl
+
         return generate_ditl(
             self.internet, self.letters_2020, self.recursives, self.zone,
             year=2020, seed=self.seed + 9,
@@ -333,28 +334,40 @@ class Scenario:
 
     @_stage
     def filtered_2020(self) -> FilteredDitl:
+        from ..ditl import preprocess
+
         return preprocess(self.capture_2020)
 
     @_stage
     def cdn_counts(self) -> CdnUserCounts:
+        from ..users import build_cdn_counts
+
         return build_cdn_counts(self.recursives, seed=self.seed + 10)
 
     @_stage
     def apnic_counts(self) -> ApnicUserCounts:
+        from ..users import build_apnic_counts
+
         return build_apnic_counts(
             self.user_base, seed=self.seed + 11, cloud_asns=self.internet.cloud_asns
         )
 
     @_stage
     def geolocator(self) -> Geolocator:
+        from ..measurement import Geolocator
+
         return Geolocator(self.internet.world, self.recursives, seed=self.seed + 12)
 
     @_stage
     def mapper(self) -> IpToAsnMapper:
+        from ..net import IpToAsnMapper
+
         return IpToAsnMapper(self.internet.plan, seed=self.seed + 13)
 
     @_stage
     def _join_2018(self) -> tuple[list[JoinedRecursive], JoinStats]:
+        from ..ditl import join_ditl_cdn
+
         return join_ditl_cdn(
             self.filtered_2018, self.cdn_counts, self.geolocator, self.mapper,
             by_slash24=True,
@@ -370,6 +383,8 @@ class Scenario:
 
     @_stage
     def _join_2018_ip(self) -> tuple[list[JoinedRecursive], JoinStats]:
+        from ..ditl import join_ditl_cdn
+
         return join_ditl_cdn(
             self.filtered_2018, self.cdn_counts, self.geolocator, self.mapper,
             by_slash24=False,
@@ -385,6 +400,8 @@ class Scenario:
 
     @_stage
     def _join_2020(self) -> tuple[list[JoinedRecursive], JoinStats]:
+        from ..ditl import join_ditl_cdn
+
         return join_ditl_cdn(
             self.filtered_2020, self.cdn_counts, self.geolocator, self.mapper,
             by_slash24=True,
@@ -396,20 +413,25 @@ class Scenario:
 
     @_stage
     def _volumes_2018(self) -> tuple[dict[int, float], float]:
+        from ..ditl import volumes_by_asn
+
         return volumes_by_asn(self.filtered_2018, self.mapper)
 
     @property
     def asn_volumes_2018(self) -> dict[int, float]:
-        volumes, self.apnic_mapped_fraction = self._volumes_2018
-        return volumes
+        return self._volumes_2018[0]
 
     # -- measurement platforms ---------------------------------------------------
     @_stage
     def atlas(self) -> AtlasPlatform:
+        from ..measurement import AtlasPlatform
+
         return AtlasPlatform(self.internet, n_probes=self.config.n_probes, seed=self.seed + 14)
 
     @_stage
     def server_logs(self) -> ServerSideLogs:
+        from ..measurement import collect_server_logs
+
         return collect_server_logs(
             self.cdn, self.user_base,
             samples_per_location=self.config.serverlog_samples, seed=self.seed + 15,
@@ -417,6 +439,8 @@ class Scenario:
 
     @_stage
     def client_measurements(self) -> ClientSideMeasurements:
+        from ..measurement import collect_client_measurements
+
         return collect_client_measurements(
             self.cdn, self.user_base,
             samples_per_location=self.config.clientside_samples, seed=self.seed + 16,
@@ -446,6 +470,8 @@ class Scenario:
     def root_latency_model(self) -> StaticRootLatency:
         """Per-letter RTTs as seen from a mid-European eyeball (the ISI
         stand-in's vantage), used by the packet-level resolver sims."""
+        from ..dns import StaticRootLatency
+
         letters = self.letters_2018
         probe = self.atlas.probes[0]
         base = {}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..core import format_table, overlap_table
-from .base import ExperimentResult, experiment
+from .base import ExperimentResult
 from .scenario import Scenario
 
 #: §7.3's operator survey.  Eleven of twelve root organizations answered;
@@ -23,7 +23,6 @@ SURVEY_FUTURE_TRENDS = {
 }
 
 
-@experiment("table1")
 def table1(scenario: Scenario) -> ExperimentResult:
     result = ExperimentResult("table1", "Root operator survey (Table 1)")
     result.add(
@@ -47,7 +46,6 @@ def table1(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("table2")
 def table2(scenario: Scenario) -> ExperimentResult:
     """Dataset summary, computed from the generated datasets."""
     capture = scenario.capture_2018
@@ -136,7 +134,6 @@ _TABLE3_ROWS = [
 ]
 
 
-@experiment("table3")
 def table3(scenario: Scenario) -> ExperimentResult:
     result = ExperimentResult("table3", "Dataset strengths & weaknesses (Table 3)")
     result.add("catalogue", format_table(_TABLE3_ROWS))
@@ -144,7 +141,6 @@ def table3(scenario: Scenario) -> ExperimentResult:
     return result
 
 
-@experiment("table4")
 def table4(scenario: Scenario) -> ExperimentResult:
     """Join representativeness with and without the /24 aggregation."""
     table = overlap_table(scenario.join_stats_2018_ip, scenario.join_stats_2018)

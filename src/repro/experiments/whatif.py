@@ -19,7 +19,7 @@ import numpy as np
 
 from ..anycast import apply_mutation, plan_add_regions, plan_withdraw, rebuild
 from ..anycast.resilience import failure_impact
-from .base import ExperimentResult, experiment
+from .base import ExperimentResult
 from .scenario import Scenario
 
 #: The kernel tables whose equality defines "bitwise identical".
@@ -68,7 +68,6 @@ SEQUENCE = (
 )
 
 
-@experiment("whatif01")
 def whatif01(scenario: Scenario) -> ExperimentResult:
     """Delta-path what-if sequence on K-root, oracle-checked (ROADMAP 5)."""
     baseline = scenario.letters_2018["K"]
