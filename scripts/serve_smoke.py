@@ -9,9 +9,11 @@ Boots the daemon on an ephemeral port at the small scale, hits every
 ``/v1`` endpoint (including the ``/v1/debug/*`` surface), validates
 each JSON response against the checked-in ``docs/serve.schema.json``,
 checks the ``X-Request-Id`` contract (always present, inbound ids
-honoured), asserts the Prometheus exposition carries the per-endpoint
-counters plus the phase histograms and resource gauges, then SIGTERMs
-and requires a clean drain (exit 0).
+honoured), checks that ``/v1/debug/statusz`` reports an admission
+capacity (``max_inflight``) of one slot per ``--workers``, asserts the
+Prometheus exposition carries the per-endpoint counters plus the phase
+histograms and resource gauges, then SIGTERMs and requires a clean
+drain (exit 0).
 
 A second leg boots a one-worker daemon in its own session, crashes its
 worker with an injected fault (so the retry runs on a worker respawned
@@ -187,6 +189,14 @@ def main() -> int:
             failures += _fail("response carries no X-Request-Id")
         if not failures:
             print("  X-Request-Id: present and honoured")
+
+        # Admission capacity is derived from --workers, not configured.
+        _, body = _get(base, "/v1/debug/statusz")
+        max_inflight = json.loads(body)["payload"]["max_inflight"]
+        if max_inflight != 2:
+            failures += _fail(f"statusz max_inflight is {max_inflight}, not --workers 2")
+        else:
+            print("  /v1/debug/statusz: max_inflight 2 (one slot per worker)")
 
         status, body = _get(base, "/v1/metrics")
         text = body.decode()

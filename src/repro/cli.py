@@ -160,20 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--port", type=int, default=8459, metavar="P",
                         help="TCP port to listen on (default 8459; 0 = ephemeral)")
     daemon.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="query worker processes forked after warm-up "
-                             "(default 2; 0 = in-process thread offload)")
+                        help="query worker processes forked after warm-up, "
+                             "and as many concurrent queries; the rest wait "
+                             "in the admission queue (default 2; 0 = one "
+                             "in-process thread)")
     daemon.add_argument("--grace", type=float, default=30.0, metavar="SECONDS",
                         help="drain window for in-flight requests on "
                              "SIGTERM/SIGINT (default 30)")
-    daemon.add_argument("--max-inflight", type=int, default=32, metavar="N",
-                        help="concurrent offloaded queries before "
-                             "backpressure (default 32)")
     daemon.add_argument("--max-queue", type=int, default=64, metavar="N",
                         help="admission-queue depth; requests beyond it are "
                              "shed with 429 + Retry-After (default 64)")
-    daemon.add_argument("--shed-policy", choices=("tail", "head"), default="tail",
-                        help="queue-full victim: tail sheds the newcomer, "
-                             "head displaces the oldest waiter (default tail)")
     daemon.add_argument("--breaker-threshold", type=int, default=5, metavar="N",
                         help="consecutive pool failures that open the circuit "
                              "breaker and switch to degraded in-process "
@@ -186,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every per-endpoint compute-budget "
                              "default (clients can still set X-Deadline-Ms "
                              "per request)")
-    daemon.add_argument("--whatif-concurrency", type=int, default=2, metavar="N",
-                        help="concurrent what-if re-propagations (default 2)")
     daemon.add_argument(
         "--inject", metavar="SPEC", action="append", default=None,
         help="inject a deterministic fault, e.g. slow_request:s=2 "
@@ -598,13 +592,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         grace=args.grace,
-        max_inflight=args.max_inflight,
         max_queue=args.max_queue,
-        shed_policy=args.shed_policy,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         deadline_ms=args.deadline_ms,
-        whatif_concurrency=args.whatif_concurrency,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         trace=args.trace,

@@ -22,11 +22,12 @@ workers directly:
 
 That is the batch scheduler, :meth:`MonitoredPool.run`.  A long-lived
 service uses the pool one task at a time instead: :meth:`MonitoredPool.call`
-is a coroutine the caller awaits on its own event loop.  It takes an
-idle worker in arrival order, waits for the answer with
-``loop.add_reader``, and kills and respawns a worker that died or
-outlived the caller's budget; it never retries (the caller owns
-request-level retry policy).
+is a coroutine the caller awaits on its own event loop.  The caller
+admits at most one call per worker (the serve daemon's admission queue
+is sized to the pool), so a call never waits for a worker: it takes the
+longest-idle one, waits for the answer with ``loop.add_reader``, and
+kills and respawns a worker that died or outlived the caller's budget;
+it never retries (the caller owns request-level retry policy).
 
 Task protocol: the task function returns ``(ok, payload)``; ``ok=False``
 marks a *failed attempt* whose payload is still delivered (so the
@@ -152,8 +153,7 @@ class MonitoredPool:
         self._initargs = initargs
         self._task_fn = task
         self._workers = [self._spawn() for _ in range(max_workers)]
-        self._idle = None  #: asyncio.Queue of idle workers, made by the first call()
-        self.waiting = 0  #: call()s waiting for an idle worker
+        self._idle = deque(self._workers)  #: call()'s idle workers, longest idle first
 
     # -- lifecycle ---------------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -215,16 +215,16 @@ class MonitoredPool:
 
     # -- one task at a time, on the caller's event loop ---------------------
     async def call(self, args: tuple, timeout: float | None = None) -> tuple:
-        """Run one task on the next idle worker; returns ``(ok, payload, detail)``.
+        """Run one task on an idle worker; returns ``(ok, payload, detail)``.
 
         Awaited on the caller's event loop; a pool serves calls from one
-        loop, and ``run()`` must not be interleaved with them.  Calls
-        wait for an idle worker in arrival order (:attr:`waiting` counts
-        them).  ``timeout`` bounds the whole call, the wait for a worker
-        included; when it runs out the call raises :class:`TimeoutError`.
-        A worker that already holds the task at that point may never
-        answer (the reason the budget ran out), so it is killed and
-        respawned to reclaim the slot, counted in
+        loop, and ``run()`` must not be interleaved with them.  The
+        caller keeps at most one call per worker in flight, so a call
+        never waits: it takes the longest-idle worker (``IndexError``
+        when the caller broke that bound).  ``timeout`` bounds the task;
+        when it runs out the call raises :class:`TimeoutError`, and the
+        worker, which may never answer (the reason the budget ran out),
+        is killed and respawned to reclaim the slot, counted in
         ``engine.pool.abandoned.total``.  A worker that dies mid-task is
         replaced and the call raises ``RuntimeError``; a worker found
         dead when the task is sent is replaced and the task resent.
@@ -232,18 +232,7 @@ class MonitoredPool:
         import asyncio  # not at module level: batch runs never need it
 
         loop = asyncio.get_running_loop()
-        expires = None if timeout is None else loop.time() + timeout
-        if self._idle is None:
-            self._idle = asyncio.Queue()
-            for worker in self._workers:
-                self._idle.put_nowait(worker)
-        self.waiting += 1
-        try:
-            worker = await asyncio.wait_for(self._idle.get(), timeout)
-        except asyncio.TimeoutError:
-            raise TimeoutError(f"no idle worker within {timeout:.3f}s") from None
-        finally:
-            self.waiting -= 1
+        worker = self._idle.popleft()
         busy = False  #: the worker holds a task whose answer is still unread
         try:
             try:
@@ -256,8 +245,7 @@ class MonitoredPool:
             fd = worker.conn.fileno()
             loop.add_reader(fd, lambda: answered.done() or answered.set_result(None))
             try:
-                remaining = None if expires is None else max(0.0, expires - loop.time())
-                await asyncio.wait_for(answered, remaining)
+                await asyncio.wait_for(answered, timeout)
             except asyncio.TimeoutError:
                 raise TimeoutError(f"task outlived its {timeout:.3f}s budget") from None
             finally:
@@ -276,7 +264,7 @@ class MonitoredPool:
             if busy:  # timed out or cancelled mid-task
                 self._replace(worker)
                 metrics.counter("engine.pool.abandoned.total").inc()
-            self._idle.put_nowait(worker)
+            self._idle.append(worker)
 
     # -- scheduling --------------------------------------------------------
     def run(

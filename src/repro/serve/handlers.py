@@ -13,7 +13,6 @@ which is exactly what ``/v1/metrics`` then exposes.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..obs import metrics, sample_process_stats, trace
 from ..obs.metrics import LATENCY_BUCKETS_MS
-from .overload import DRAIN_RETRY_AFTER_S, Deadline, DeadlineExpired, count_expired
+from .overload import DRAIN_RETRY_AFTER_S, Deadline, count_shed
 from .schema import envelope
 from .service import ServiceError
 from .telemetry import add_phase
@@ -158,8 +157,7 @@ async def handle(app, request: Request, *, reject_draining: bool = False) -> Res
     try:
         endpoint, argument = _route(request.method, request.path)
         if reject_draining and endpoint not in _DRAIN_EXEMPT:
-            metrics.counter("serve.shed.total").inc()
-            metrics.counter("serve.shed.drain.total").inc()
+            count_shed("drain")
             response = error_response(
                 503, endpoint,
                 f"draining ({app.lifecycle.reason}); not accepting work",
@@ -229,9 +227,8 @@ async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
             "drain_reason": lifecycle.reason,
             "inflight": lifecycle.inflight,
             "workers": config.workers,
-            "max_inflight": config.max_inflight,
+            "max_inflight": app.admission.max_inflight,
             "max_queue": config.max_queue,
-            "shed_policy": config.shed_policy,
             "admission_inflight": app.admission.inflight,
             "admission_queued": app.admission.queued,
             "breaker": app.breaker.state,
@@ -242,7 +239,6 @@ async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
             "seed": app.service.scenario.params.seed,
             "trace_enabled": trace.enabled,
             "access_log": config.access_log,
-            "queue_depth": app.pool.waiting if app.pool is not None else 0,
         })
     if endpoint == "debug.vars":
         return _json_response(200, endpoint, {
@@ -264,26 +260,10 @@ async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
         return _json_response(200, endpoint, payload)
     if endpoint == "whatif":
         data = request.json()
-        await _acquire_within(app.whatif_semaphore, deadline)
-        try:
-            payload = await app.execute("whatif", {
-                "deployment": data.get("deployment"),
-                "remove_sites": data.get("remove_sites"),
-                "add_regions": data.get("add_regions"),
-            }, deadline)
-        finally:
-            app.whatif_semaphore.release()
+        payload = await app.execute("whatif", {
+            "deployment": data.get("deployment"),
+            "remove_sites": data.get("remove_sites"),
+            "add_regions": data.get("add_regions"),
+        }, deadline)
         return _json_response(200, endpoint, payload)
     raise ServiceError(404, f"unrouted endpoint {endpoint!r}")  # pragma: no cover
-
-
-async def _acquire_within(semaphore, deadline: Deadline | None) -> None:
-    """Acquire the what-if semaphore inside the request's budget (504 past it)."""
-    if deadline is None:
-        await semaphore.acquire()
-        return
-    try:
-        await asyncio.wait_for(semaphore.acquire(), deadline.remaining_s())
-    except (TimeoutError, asyncio.TimeoutError):
-        count_expired("queue")
-        raise DeadlineExpired(deadline.budget_ms, where="queue") from None

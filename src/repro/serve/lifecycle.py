@@ -44,15 +44,12 @@ class ServeConfig:
     seed: int = 0
     host: str = "127.0.0.1"
     port: int = 8459
-    workers: int = 2  #: pool processes; 0 = in-process thread offload
+    workers: int = 2  #: pool processes = compute slots; 0 = one thread slot
     grace: float = 30.0  #: drain window for in-flight requests, seconds
-    max_inflight: int = 32  #: concurrent offloaded queries (backpressure)
     max_queue: int = 64  #: admission-queue depth before requests are shed
-    shed_policy: str = "tail"  #: queue-full victim: ``tail`` | ``head``
     breaker_threshold: int = 5  #: consecutive pool failures that open the breaker
     breaker_cooldown: float = 30.0  #: seconds open before a half-open probe
     deadline_ms: int | None = None  #: override every per-endpoint deadline default
-    whatif_concurrency: int = 2  #: the what-if worker semaphore
     cache_dir: str | None = None
     no_cache: bool = False
     trace: str | None = None  #: merged span JSONL written at shutdown

@@ -8,14 +8,14 @@ brown the service out to a degraded-but-answering mode, not black it
 out.  Three pieces, all event-loop-confined (no locks):
 
 * :class:`AdmissionQueue` — a bounded waiting room in front of the
-  offload capacity.  ``max_inflight`` requests compute at once; up to
-  ``max_queue`` more wait; everything beyond is **shed** immediately
-  with a 429 and a ``Retry-After`` hint.  ``shed_policy`` picks the
-  victim when the room is full: ``tail`` (default) rejects the
-  newcomer, ``head`` displaces the oldest waiter — the request most
-  likely to be past its client's patience anyway — in favour of the
-  newcomer.  A drain sheds every waiter at once (503), so queued
-  requests never sit out ``--grace`` holding slots.
+  compute capacity, and the only place a query waits.  The daemon
+  sizes it to that capacity: ``max_inflight`` is ``--workers`` (one
+  slot per pool worker; ``--workers 0`` computes on one thread), so an
+  admitted request never waits again for a worker.  Up to
+  ``max_queue`` more wait in arrival order; a newcomer that finds the
+  room full is **shed** immediately with a 429 and a ``Retry-After``
+  hint.  A drain sheds every waiter at once (503), so queued requests
+  never sit out ``--grace`` holding slots.
 
 * :class:`Deadline` — a per-request compute budget.  Every heavy
   endpoint has a default (:data:`DEFAULT_DEADLINE_MS`); clients lower
@@ -26,9 +26,11 @@ out.  Three pieces, all event-loop-confined (no locks):
   comes back instead of staying wedged.
 
 * :class:`CircuitBreaker` — trips after ``threshold`` *consecutive*
-  pool failures (worker crashes or deadline expiries).  While open,
-  query endpoints fall back to the warm in-process kernels (thread
-  path; what-if additionally drops to the rebuild oracle) — degraded
+  pool failures (worker crashes or deadline expiries while a worker
+  runs the task; a budget spent in the admission queue is no pool
+  failure).  While open, query endpoints fall back to the warm
+  in-process kernels (thread path, through the same admission slots;
+  what-if additionally drops to the rebuild oracle) — degraded
   capacity, but every request still gets a correct answer.  After
   ``cooldown_s`` the breaker goes half-open and lets ``probes``
   requests try the pool again: success closes it, failure re-opens.
@@ -39,7 +41,7 @@ Shed/expiry verdicts are :class:`ServiceError` subclasses carrying
 ``docs/API.md`` (*Overload & degradation*) for the wire contract.
 
 Metrics: ``serve.shed.total`` + ``serve.shed.<reason>.total`` (reasons
-``queue_full`` / ``displaced`` / ``drain``), ``serve.deadline.expired.total``
+``queue_full`` / ``drain``), ``serve.deadline.expired.total``
 + ``serve.deadline.<where>.expired.total`` (``queue`` / ``compute``),
 ``serve.breaker.transitions.total``, and the ``serve.breaker.state``
 gauge (0 closed / 1 half-open / 2 open).
@@ -59,12 +61,12 @@ __all__ = [
     "DEFAULT_DEADLINE_MS",
     "MAX_DEADLINE_MS",
     "DEADLINE_HEADER",
-    "SHED_POLICIES",
     "SHED_RETRY_AFTER_S",
     "DRAIN_RETRY_AFTER_S",
     "BREAKER_STATE_VALUES",
     "ShedError",
     "DeadlineExpired",
+    "count_shed",
     "count_expired",
     "WorkerLost",
     "Deadline",
@@ -90,10 +92,6 @@ MAX_DEADLINE_MS = 120_000
 
 #: The inbound header (lower-cased, as the parser stores headers).
 DEADLINE_HEADER = "x-deadline-ms"
-
-#: Who loses when the waiting room is full: ``tail`` sheds the arriving
-#: request, ``head`` displaces the oldest waiter in its favour.
-SHED_POLICIES = ("tail", "head")
 
 #: ``Retry-After`` hints, seconds: a queue-full shed clears in about one
 #: compute round; a draining daemon needs the client to go elsewhere.
@@ -137,7 +135,8 @@ class WorkerLost(ServiceError):
         self.details = {"reason": "worker_lost"}
 
 
-def _count_shed(reason: str) -> None:
+def count_shed(reason: str) -> None:
+    """Count one shed request (``reason`` is ``queue_full`` or ``drain``)."""
     metrics.counter("serve.shed.total").inc()
     metrics.counter(f"serve.shed.{reason}.total").inc()
 
@@ -199,26 +198,21 @@ class Deadline:
 
 
 class AdmissionQueue:
-    """Bounded admission in front of the offload capacity (loop-confined).
+    """Bounded admission in front of the compute capacity (loop-confined).
 
     ``max_inflight`` requests hold compute slots; up to ``max_queue``
-    more wait in arrival order; the rest are shed.  :meth:`acquire`
-    returns when a slot is granted and raises :class:`ShedError` /
-    :class:`DeadlineExpired` otherwise — the caller must pair every
-    successful acquire with exactly one :meth:`release`.
+    more wait in arrival order; a newcomer beyond that is shed.
+    :meth:`acquire` returns when a slot is granted and raises
+    :class:`ShedError` / :class:`DeadlineExpired` otherwise — the
+    caller must pair every successful acquire with exactly one
+    :meth:`release`.
     """
 
-    def __init__(self, max_inflight: int, max_queue: int,
-                 policy: str = "tail"):
-        if policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed policy must be one of {SHED_POLICIES}, got {policy!r}"
-            )
+    def __init__(self, max_inflight: int, max_queue: int):
         self.max_inflight = max(1, max_inflight)
         self.max_queue = max(0, max_queue)
-        self.policy = policy
         self._inflight = 0
-        self._waiters: deque[tuple[asyncio.Future, str]] = deque()
+        self._waiters: deque[asyncio.Future] = deque()
 
     @property
     def inflight(self) -> int:
@@ -236,7 +230,7 @@ class AdmissionQueue:
             # The chaos hook: this request sees a full waiting room no
             # matter the actual load, so the shed path is drillable on
             # an idle daemon.
-            _count_shed("queue_full")
+            count_shed("queue_full")
             raise ShedError(
                 429, "admission queue is full (injected flood); retry shortly",
                 reason="queue_full",
@@ -248,33 +242,21 @@ class AdmissionQueue:
             self._inflight += 1
             return
         if len(self._waiters) >= self.max_queue:
-            if self.policy == "head" and self._waiters:
-                victim, victim_endpoint = self._waiters.popleft()
-                if not victim.done():
-                    _count_shed("displaced")
-                    victim.set_exception(ShedError(
-                        429,
-                        f"displaced from the admission queue by newer work "
-                        f"(endpoint {victim_endpoint}); retry shortly",
-                        reason="displaced",
-                    ))
-            else:
-                _count_shed("queue_full")
-                raise ShedError(
-                    429,
-                    f"admission queue is full ({self._inflight} in flight, "
-                    f"{len(self._waiters)} queued); retry shortly",
-                    reason="queue_full",
-                )
+            count_shed("queue_full")
+            raise ShedError(
+                429,
+                f"admission queue is full ({self._inflight} in flight, "
+                f"{len(self._waiters)} queued); retry shortly",
+                reason="queue_full",
+            )
         future = asyncio.get_running_loop().create_future()
-        entry = (future, endpoint)
-        self._waiters.append(entry)
+        self._waiters.append(future)
         timeout = deadline.remaining_s() if deadline is not None else None
         try:
             await asyncio.wait_for(future, timeout=timeout)
         except (TimeoutError, asyncio.TimeoutError):
             try:
-                self._waiters.remove(entry)
+                self._waiters.remove(future)
             except ValueError:
                 pass
             if future.done() and not future.cancelled() and future.exception() is None:
@@ -288,7 +270,7 @@ class AdmissionQueue:
         """Return a slot; the oldest live waiter is granted it in place."""
         self._inflight -= 1
         while self._waiters:
-            future, _endpoint = self._waiters.popleft()
+            future = self._waiters.popleft()
             if future.done():  # shed or timed out while queued
                 continue
             self._inflight += 1
@@ -305,10 +287,10 @@ class AdmissionQueue:
         """
         shed = 0
         while self._waiters:
-            future, _endpoint = self._waiters.popleft()
+            future = self._waiters.popleft()
             if future.done():
                 continue
-            _count_shed(reason)
+            count_shed(reason)
             future.set_exception(ShedError(
                 503, f"shed while {reason}ing; not accepting queued work",
                 reason=reason, retry_after_s=retry_after_s,

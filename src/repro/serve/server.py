@@ -10,17 +10,20 @@ query endpoints offload through :meth:`App.execute` — either to a
 forked :class:`~repro.engine.pool.MonitoredPool` worker (``--workers
 N``, the default), whose answer the loop itself awaits with
 :meth:`~repro.engine.pool.MonitoredPool.call` (so the daemon is one
-thread), or to a thread (``--workers 0``) — through the
-:mod:`repro.serve.overload` admission queue: ``--max-inflight``
-requests compute, ``--max-queue`` wait, and the rest are shed with 429
-(so a burst costs a bounded amount of memory and every refused client
-hears so immediately).  Each request carries a deadline (per-endpoint
-default or ``X-Deadline-Ms``); expiry answers 504, and a worker still
-running the task is killed and respawned to reclaim the slot.  A
-circuit breaker around the pool trips on consecutive worker failures
-and routes queries to the warm in-process kernels until half-open
-probes prove the pool healthy again.  Workers fork *after* the service
-warm-up, so every worker shares the resident kernels copy-on-write.
+thread), or to a thread (``--workers 0``).  The
+:mod:`repro.serve.overload` admission queue in front of them is the
+only place a query waits: it grants exactly the compute capacity
+(``--workers`` slots, one with ``--workers 0``), ``--max-queue`` more
+wait, and the rest are shed with 429 (so a burst costs a bounded
+amount of memory and every refused client hears so immediately).
+Each request carries a deadline (per-endpoint default or
+``X-Deadline-Ms``); expiry answers 504, and a worker still running the
+task is killed and respawned to reclaim the slot.  A circuit breaker
+around the pool trips on consecutive worker failures and routes
+queries, through the same slots, to the warm in-process kernels until
+half-open probes prove the pool healthy again.  Workers fork *after*
+the service warm-up, so every worker shares the resident kernels
+copy-on-write.
 
 Request telemetry: every request gets a ``trace_id`` (honouring an
 inbound ``X-Request-Id``), echoed back as ``X-Request-Id`` and bound to
@@ -33,7 +36,7 @@ re-rooted under the request's compute frame and the merged trace
 telescopes across processes.  ``--access-log`` writes one JSON record
 per request (see :mod:`repro.serve.telemetry`); a background sampler
 keeps ``process.rss_bytes`` / ``process.open_fds`` / ``serve.inflight``
-/ ``serve.pool.queue_depth`` gauges fresh for ``/v1/metrics`` and
+/ ``serve.admission.*`` gauges fresh for ``/v1/metrics`` and
 ``/v1/debug/vars``.
 
 Shutdown (see :mod:`repro.serve.lifecycle`): SIGTERM closes the
@@ -107,13 +110,13 @@ class App:
         self.pool = pool
         self.lifecycle = Lifecycle(grace=config.grace)
         self.telemetry = RequestTelemetry(config.access_log)
-        self.admission = AdmissionQueue(
-            config.max_inflight, config.max_queue, config.shed_policy
-        )
+        # One compute slot per pool worker (one thread slot for
+        # --workers 0), so an admitted query never waits for a worker:
+        # every wait is queue time, visible to deadlines and the drain.
+        self.admission = AdmissionQueue(max(1, config.workers), config.max_queue)
         self.breaker = CircuitBreaker(
             config.breaker_threshold, config.breaker_cooldown
         )
-        self.whatif_semaphore = asyncio.Semaphore(max(1, config.whatif_concurrency))
         self._task_seq = 0  #: per-daemon pool submission counter (fault keying)
         # Requests queued at drain-start must not sit out --grace
         # holding connections: shed them all with 503 + Retry-After.
@@ -160,14 +163,15 @@ class App:
         expire = faults.maybe_fire("deadline_expire", f"serve.{op}")
         if expire is not None and deadline is not None:
             deadline.expire_in(expire.delay())
-        route = self.breaker.route() if self.pool is not None else "thread"
-        degraded = route == "degraded"
         if deadline is not None and deadline.expired:
             # The budget drained in the admission queue (or an injected
             # expiry): answer 504 now rather than burn compute on an
-            # answer nobody is waiting for.
+            # answer nobody is waiting for.  Checked before route():
+            # a half-open probe slot taken here would never be reported.
             count_expired("compute")
             raise DeadlineExpired(deadline.budget_ms, where="compute")
+        route = self.breaker.route() if self.pool is not None else "thread"
+        degraded = route == "degraded"
         with trace.span("serve.compute", op=op) as compute_span:
             if self.pool is not None and not degraded:
                 verdict, worker_dur_s = await self._pool_compute(
@@ -442,9 +446,6 @@ async def _sample_resources(app: App, period: float = SAMPLE_PERIOD_S) -> None:
         if stats["open_fds"] is not None:
             metrics.gauge("process.open_fds").set(stats["open_fds"])
         metrics.gauge("serve.inflight").set(app.lifecycle.inflight)
-        metrics.gauge("serve.pool.queue_depth").set(
-            app.pool.waiting if app.pool is not None else 0
-        )
         metrics.gauge("serve.admission.inflight").set(app.admission.inflight)
         metrics.gauge("serve.admission.queued").set(app.admission.queued)
         await asyncio.sleep(period)

@@ -46,7 +46,7 @@ _log = get_logger("serve.service")
 MAX_RESOLVE_ROWS = 100_000
 
 #: Hard cap on sites added/removed by one what-if (re-propagation is the
-#: expensive operation the worker semaphore exists for).
+#: most expensive operation a compute slot runs).
 MAX_WHATIF_SITES = 16
 
 

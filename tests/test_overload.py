@@ -9,8 +9,11 @@ Three layers, mirroring how the machinery is built:
   event loop: timeout kills, respawns, and workers that never relay a
   signal into the parent) are exercised directly.
 * **In-process daemon** — a real ``App`` over :class:`LoopbackDaemon`
-  with a monkeypatched slow operation, so genuine queue saturation and
-  the drain-shed path are deterministic (no timing-dependent bursts).
+  with a monkeypatched slow operation, on the thread path or over a
+  real one-worker forked pool, so genuine queue saturation, the
+  drain-shed path and the admission queue being the only wait (a busy
+  worker is waited for in the queue, never in the pool) are
+  deterministic (no timing-dependent bursts).
 * **Subprocess daemon** — the actual ``repro serve`` process with
   deterministic fault plans (``queue_flood`` / ``deadline_expire`` /
   ``worker_crash``) proving the wire contract: schema-valid 429/503/504
@@ -18,7 +21,7 @@ Three layers, mirroring how the machinery is built:
   and the breaker opening, degrading, and re-closing.
 
 The ``soak``-marked test at the bottom is the acceptance scenario from
-the overload milestone: a burst of 4x ``--max-inflight`` keep-alive
+the overload milestone: a burst of 4x ``--workers`` keep-alive
 clients against a 4-worker daemon with ``worker_crash:p=0.05:seed=1``
 — zero hung connections, every answer schema-valid, shed answers carry
 ``Retry-After``, accepted latencies stay inside the endpoint deadline,
@@ -29,6 +32,7 @@ stretches the load phase (CI uses 10; the default keeps it quick).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
 import multiprocessing
@@ -45,6 +49,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import faults
 from repro.engine.pool import MonitoredPool
 from repro.obs import MetricsRegistry, metrics
 from repro.obs._loopback import LoopbackDaemon
@@ -61,7 +66,7 @@ from repro.serve.overload import (
 )
 from repro.serve.schema import validate_envelope
 from repro.serve.server import App
-from repro.serve.service import AnycastService, ServiceError
+from repro.serve.service import AnycastService, ServiceError, install_service, service_task
 
 
 @pytest.fixture(scope="module")
@@ -158,28 +163,6 @@ class TestAdmissionQueue:
             assert (queue.inflight, queue.queued) == (1, 0)
 
         asyncio.run(scenario())
-
-    def test_head_policy_displaces_the_oldest_waiter(self):
-        async def scenario():
-            queue = AdmissionQueue(1, 1, "head")
-            await queue.acquire("resolve")
-            old = asyncio.create_task(queue.acquire("old"))
-            await asyncio.sleep(0)
-            new = asyncio.create_task(queue.acquire("new"))
-            await asyncio.sleep(0)
-            with pytest.raises(ShedError) as excinfo:
-                await old
-            assert excinfo.value.status == 429
-            assert excinfo.value.reason == "displaced"
-            queue.release()
-            await new  # the newcomer inherited the queue slot
-            assert (queue.inflight, queue.queued) == (1, 0)
-
-        asyncio.run(scenario())
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="shed policy"):
-            AdmissionQueue(1, 1, "coinflip")
 
     def test_deadline_expires_while_queued(self):
         async def scenario():
@@ -397,32 +380,6 @@ class TestPoolAbandon:
         assert (ok, payload, detail) == (True, {"slept": 0.0}, None)
         assert _pool_counts(before) == (0, 0)
 
-    def test_timeout_while_waiting_for_a_worker_costs_no_worker(self):
-        """A budget that runs out before any worker came free raises
-        TimeoutError; the busy worker finishes its own task untouched."""
-        before = metrics.snapshot()
-        pool = MonitoredPool(1, task=_sleepy_task)
-
-        async def scenario():
-            busy = asyncio.ensure_future(pool.call((1.0,), timeout=60.0))
-            await asyncio.sleep(0.2)  # the only worker is now running it
-            waiter = asyncio.ensure_future(pool.call((0.0,), timeout=0.2))
-            await asyncio.sleep(0.05)
-            assert pool.waiting == 1
-            with pytest.raises(TimeoutError):
-                await waiter
-            assert pool.waiting == 0
-            return await busy
-
-        try:
-            pid = _worker_pid(pool)
-            ok, payload, detail = asyncio.run(scenario())
-            assert _worker_pid(pool) == pid
-        finally:
-            pool.shutdown()
-        assert (ok, payload, detail) == (True, {"slept": 1.0}, None)
-        assert _pool_counts(before) == (0, 0)
-
     def test_worker_found_dead_at_send_is_replaced(self):
         before = metrics.snapshot()
         pool = MonitoredPool(1, task=_sleepy_task)
@@ -512,20 +469,30 @@ def _slow_service(service, monkeypatch, op, delay_s):
     monkeypatch.setattr(service, "execute_safe", slowed)
 
 
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate(), "condition not reached within the timeout"
+
+
+def _hold_the_slot(app, port, results):
+    """Start a (slowed) catchment read; return once it holds the only slot."""
+    holder = threading.Thread(
+        target=lambda: results.update(hold=_fetch(port, "/v1/catchment/2018-K"))
+    )
+    holder.start()
+    _wait_until(lambda: app.admission.inflight == 1)
+    return holder
+
+
 class TestSaturationInProcess:
     def test_full_queue_sheds_429_immediately(self, service, monkeypatch):
         _slow_service(service, monkeypatch, "catchment", 1.5)
-        app = App(service, ServeConfig(workers=0, max_inflight=1, max_queue=0))
+        app = App(service, ServeConfig(workers=0, max_queue=0))
         results = {}
         with LoopbackDaemon(app) as port:
-            holder = threading.Thread(
-                target=lambda: results.update(hold=_fetch(port, "/v1/catchment/2018-K"))
-            )
-            holder.start()
-            deadline = time.monotonic() + 10.0
-            while app.admission.inflight < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert app.admission.inflight == 1
+            holder = _hold_the_slot(app, port, results)
             status, headers, body, elapsed = _fetch(port, "/v1/inflation/2018-K")
             holder.join(timeout=30.0)
         assert status == 429
@@ -541,25 +508,16 @@ class TestSaturationInProcess:
     def test_drain_sheds_queued_requests_fast(self, service, monkeypatch):
         _slow_service(service, monkeypatch, "catchment", 1.5)
         before = metrics.counter("serve.shed.drain.total").value
-        app = App(service, ServeConfig(workers=0, max_inflight=1, max_queue=4, grace=10))
+        app = App(service, ServeConfig(workers=0, max_queue=4, grace=10))
         results = {}
         daemon = LoopbackDaemon(app)
         with daemon as port:
-            holder = threading.Thread(
-                target=lambda: results.update(hold=_fetch(port, "/v1/catchment/2018-K"))
-            )
-            holder.start()
-            deadline = time.monotonic() + 10.0
-            while app.admission.inflight < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            holder = _hold_the_slot(app, port, results)
             queued = threading.Thread(
                 target=lambda: results.update(queued=_fetch(port, "/v1/inflation/2018-K"))
             )
             queued.start()
-            deadline = time.monotonic() + 10.0
-            while app.admission.queued < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert app.admission.queued == 1
+            _wait_until(lambda: app.admission.queued == 1)
             daemon._loop.call_soon_threadsafe(app.lifecycle.request_drain, "test drain")
             queued.join(timeout=10.0)
             holder.join(timeout=30.0)
@@ -572,6 +530,102 @@ class TestSaturationInProcess:
         assert wrapped["payload"]["error"]["reason"] == "drain"
         assert results["hold"][0] == 200  # in-flight work rode out the drain
         assert metrics.counter("serve.shed.drain.total").value - before >= 1
+
+
+@contextlib.contextmanager
+def _one_worker_daemon(service, config):
+    """An ``App`` over a real one-worker forked pool, behind LoopbackDaemon.
+
+    The pool forks here, so a service slowed before the call is slow in
+    the worker too.  Yields ``(app, daemon, port)``.
+    """
+    install_service(service)
+    pool = MonitoredPool(
+        1, task=service_task, mp_context=multiprocessing.get_context("fork")
+    )
+    try:
+        app = App(service, config, pool)
+        daemon = LoopbackDaemon(app)
+        with daemon as port:
+            yield app, daemon, port
+    finally:
+        pool.shutdown()
+        install_service(None)
+
+
+class TestOneWorkerPoolInProcess:
+    """A query waits for a busy worker in the admission queue, nowhere else."""
+
+    def test_budget_spent_waiting_for_a_busy_worker_is_queue_time(
+            self, service, monkeypatch):
+        _slow_service(service, monkeypatch, "catchment", 1.5)
+        config = ServeConfig(workers=1, breaker_threshold=1)
+        results = {}
+        with _one_worker_daemon(service, config) as (app, _daemon, port):
+            holder = _hold_the_slot(app, port, results)
+            status, _, body, _ = _fetch(
+                port, "/v1/inflation/2018-K", headers={"X-Deadline-Ms": "100"}
+            )
+            holder.join(timeout=30.0)
+        assert status == 504
+        _assert_error_envelope(json.loads(body), 504, deadline_ms=100.0, where="queue")
+        # Waiting for a healthy worker is no pool failure.
+        assert app.breaker.state == "closed"
+        assert results["hold"][0] == 200
+
+    def test_drain_sheds_a_query_waiting_for_a_busy_worker(self, service, monkeypatch):
+        _slow_service(service, monkeypatch, "catchment", 1.5)
+        config = ServeConfig(workers=1, grace=10)
+        results = {}
+        with _one_worker_daemon(service, config) as (app, daemon, port):
+            holder = _hold_the_slot(app, port, results)
+            waiter = threading.Thread(
+                target=lambda: results.update(waiter=_fetch(port, "/v1/inflation/2018-K"))
+            )
+            waiter.start()
+            _wait_until(lambda: app.lifecycle.inflight == 2)
+            daemon._loop.call_soon_threadsafe(app.lifecycle.request_drain, "test drain")
+            waiter.join(timeout=10.0)
+            holder.join(timeout=30.0)
+        status, headers, body, elapsed = results["waiter"]
+        assert status == 503
+        assert elapsed < 1.2, "a query waiting for a worker must not sit out the drain"
+        assert headers["retry-after"] == "5"
+        _assert_error_envelope(json.loads(body), 503, reason="drain")
+        assert results["hold"][0] == 200
+
+    def test_queue_phase_covers_the_wait_for_a_busy_worker(self, service, monkeypatch):
+        _slow_service(service, monkeypatch, "catchment", 1.5)
+        results = {}
+        with _one_worker_daemon(service, ServeConfig(workers=1)) as (app, _daemon, port):
+            holder = _hold_the_slot(app, port, results)
+            status, _, _, _ = _fetch(
+                port, "/v1/inflation/2018-K", headers={"X-Request-Id": "waiter"}
+            )
+            holder.join(timeout=30.0)
+        assert status == 200
+        (record,) = [r for r in app.telemetry.recent() if r["trace_id"] == "waiter"]
+        phases = record["phases"]
+        assert phases["queue"] > 500.0, phases
+        assert phases["compute"] < phases["queue"], phases
+
+    def test_expired_query_does_not_hold_the_half_open_probe(self, service):
+        config = ServeConfig(workers=1, breaker_threshold=1, breaker_cooldown=0)
+        faults.install(faults.FaultPlan.from_string(
+            "deadline_expire:n=1:match=serve.scenario"
+        ))
+        try:
+            with _one_worker_daemon(service, config) as (app, _daemon, port):
+                app.breaker.record_failure("pool")
+                assert app.breaker.state == "open"
+                status, _, body, _ = _fetch(port, "/v1/scenario")
+        finally:
+            faults.install(None)
+        assert status == 504
+        _assert_error_envelope(json.loads(body), 504, where="compute")
+        # The expired query never took the probe slot, so the next
+        # query is the probe rather than degraded until a restart.
+        assert app.breaker.route() == "probe"
 
 
 # -- the real daemon under injected faults ----------------------------------
@@ -898,7 +952,7 @@ class _BurstClient(threading.Thread):
 def test_overload_soak_chaos_under_burst(scenario):
     """The milestone acceptance drill: burst + crashes, nothing wedges.
 
-    4x ``--max-inflight`` keep-alive clients against a 4-worker daemon
+    4x ``--workers`` keep-alive clients against a 4-worker daemon
     whose pool crashes on ~5% of submissions.  Every connection must
     resolve (no hangs, no tears), every answer must be schema-valid,
     every shed must carry the retry contract, accepted latencies must
@@ -906,16 +960,15 @@ def test_overload_soak_chaos_under_burst(scenario):
     the crash storm and re-close after it.
     """
     duration_s = float(os.environ.get("REPRO_SOAK_SECONDS", "3"))
-    max_inflight = 4
-    with _Daemon("--workers", "4",
-                 "--max-inflight", str(max_inflight), "--max-queue", "2",
+    workers = 4
+    with _Daemon("--workers", str(workers), "--max-queue", "2",
                  "--breaker-threshold", "1", "--breaker-cooldown", "0.5",
                  "--grace", "30",
                  "--inject", "worker_crash:p=0.05:seed=1") as daemon:
         stop = threading.Event()
         clients = [
             _BurstClient(index, daemon.port, stop)
-            for index in range(4 * max_inflight)
+            for index in range(4 * workers)
         ]
         for client in clients:
             client.start()

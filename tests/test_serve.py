@@ -504,7 +504,8 @@ class TestDebugEndpoints:
         assert payload["trace_enabled"] is False
         assert payload["access_log"] is None
         assert payload["inflight"] >= 1  # at least this request
-        assert payload["queue_depth"] >= 0
+        assert payload["max_inflight"] == 2  # one admission slot per worker
+        assert payload["admission_queued"] >= 0
 
     def test_vars_exposes_process_stats_and_metrics(self, daemon):
         base, _ = daemon
@@ -529,7 +530,7 @@ class TestDebugEndpoints:
             "repro_serve_phase_compute_ms_bucket",
             "repro_serve_phase_serialize_ms_bucket",
             "repro_serve_inflight",
-            "repro_serve_pool_queue_depth",
+            "repro_serve_admission_queued",
             "repro_process_rss_bytes",
             "repro_process_open_fds",
         ):
