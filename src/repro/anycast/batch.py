@@ -11,10 +11,18 @@ as a handful of numpy gathers:
   reduces to integer indexing into one region×region great-circle
   distance matrix;
 * the AS-path walk is a short loop over hop *depth* (max path length is
-  small), each step an argmin over a padded per-AS footprint matrix;
+  small), each step one gather from a per-world early-exit table
+  (``exit[as_row, region]``: that AS's PoP nearest to the region) plus
+  one distance gather, so a walk costs O(rows) per depth;
 * the terminal early-exit (``min`` by ``(distance, attachment_id)``) is
   an argmin plus a tie-break gather over padded per-host candidate
   tables.
+
+The distance matrix, the sorted ASN column and the early-exit table
+depend only on the world and its AS footprints, so they are built once
+per world and shared, read-only, by every kernel, clone and forked
+worker over it — including kernels over separately unpickled copies of
+the same topology, which each cached artifact carries.
 
 Bitwise fidelity matters: the scalar path is the reference the paper
 figures were produced with, and ``resolve_many`` must return *identical*
@@ -29,7 +37,8 @@ symmetric) and every RTT is accumulated in the same operation order as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
+from itertools import chain
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 import numpy as np
 
@@ -49,38 +58,110 @@ __all__ = [
 
 _NO_ROW = -1  #: sentinel for "no route / no candidate" integer columns
 
-#: Per-topology scalar-exact region distance matrices.  Keyed weakly so a
-#: discarded world releases its matrix; never pickled into artifacts.
-_DISTANCE_CACHE: WeakKeyDictionary[Topology, np.ndarray] = WeakKeyDictionary()
+
+def _distance_matrix(world) -> np.ndarray:
+    """Scalar-exact R×R great-circle km, computed above the diagonal and
+    mirrored (the haversine form is exactly symmetric)."""
+    lats = [float(v) for v in world.latitudes]
+    lons = [float(v) for v in world.longitudes]
+    n = len(lats)
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        lat1, lon1 = lats[i], lons[i]
+        row = matrix[i]
+        for j in range(i + 1, n):
+            row[j] = great_circle_km(lat1, lon1, lats[j], lons[j])
+    lower = matrix.T.copy()
+    matrix += lower
+    return matrix
+
+
+def _early_exit_table(distances: np.ndarray, footprints: list) -> np.ndarray:
+    """``exit[as_row, region]``: the AS's PoP region nearest to ``region``.
+
+    The distance matrix is exactly symmetric, so row ``pop`` holds the
+    distance from every region to that PoP, and an argmin over the
+    footprint's rows keeps the first minimum in footprint order — the
+    strict ``<`` scan of :meth:`~repro.topology.graph.AsNode.nearest_pop`.
+    """
+    n_regions = len(distances)
+    table = np.empty(
+        (len(footprints), n_regions), dtype=np.min_scalar_type(n_regions - 1)
+    )
+    for as_row, pops in enumerate(footprints):
+        if len(pops) == 1:
+            table[as_row] = pops[0]
+        else:
+            pops = np.array(pops, dtype=np.intp)
+            table[as_row] = pops[np.argmin(distances[pops], axis=0)]
+    return table
+
+
+class _WorldTables:
+    """Read-only tables fixed by a world's regions and AS footprints:
+    the region ``distances``, the sorted ASN column ``as_ids`` (a
+    kernel's hop rows index it) and the ``exit`` table over its rows."""
+
+    __slots__ = ("distances", "as_ids", "exit", "__weakref__")
+
+    def __init__(self, world, as_ids: np.ndarray, footprints: list) -> None:
+        with trace.span(
+            "kernel.distance_matrix", n_regions=len(world), n_ases=len(as_ids)
+        ):
+            self.distances = _distance_matrix(world)
+            self.exit = _early_exit_table(self.distances, footprints)
+            self.as_ids = as_ids
+            for table in (self.distances, self.exit, self.as_ids):
+                table.setflags(write=False)
+        metrics.counter("kernel.distance_matrix.builds.total").inc()
+
+
+#: World tables per topology object: the fast path.  Keyed weakly so a
+#: discarded world releases its tables; never pickled into artifacts.
+_TABLES_BY_TOPOLOGY: WeakKeyDictionary[Topology, _WorldTables] = WeakKeyDictionary()
+#: The same records keyed by content (region coordinates, ASN column,
+#: footprints), so every unpickled copy of one world shares one record.
+_TABLES_BY_CONTENT: WeakValueDictionary[tuple, _WorldTables] = WeakValueDictionary()
+
+
+def _world_tables(topology: Topology) -> _WorldTables:
+    """The shared :class:`_WorldTables` of ``topology``'s world.
+
+    The AS set and footprints must be final: kernels are built over a
+    generated topology, never while it is still being grown.
+    """
+    tables = _TABLES_BY_TOPOLOGY.get(topology)
+    if tables is None:
+        nodes = topology.nodes
+        as_ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        as_ids.sort()
+        footprints = [nodes[asn].region_ids for asn in as_ids.tolist()]
+        world = topology.world
+        key = (
+            world.latitudes.tobytes(),
+            world.longitudes.tobytes(),
+            as_ids.tobytes(),
+            np.fromiter(map(len, footprints), dtype=np.int64).tobytes(),
+            np.fromiter(chain.from_iterable(footprints), dtype=np.int64).tobytes(),
+        )
+        tables = _TABLES_BY_CONTENT.get(key)
+        if tables is None:
+            tables = _WorldTables(world, as_ids, footprints)
+            _TABLES_BY_CONTENT[key] = tables
+        _TABLES_BY_TOPOLOGY[topology] = tables
+    return tables
 
 
 def region_distance_matrix(topology: Topology) -> np.ndarray:
     """R×R great-circle km between world regions, bitwise-equal to the
     scalar ``GeoPoint.distance_km`` for every pair.
 
-    Built once per topology with the scalar haversine (numpy's libm is
-    not bitwise-identical to ``math``'s), exploiting exact symmetry to
-    halve the work.  Read-only; shared by every kernel over the world.
+    Built once per world with the scalar haversine (numpy's libm is not
+    bitwise-identical to ``math``'s), exploiting exact symmetry to halve
+    the work.  Read-only; shared by every kernel over the world and by
+    every copy of its topology.
     """
-    matrix = _DISTANCE_CACHE.get(topology)
-    if matrix is None:
-        world = topology.world
-        lats = [float(v) for v in world.latitudes]
-        lons = [float(v) for v in world.longitudes]
-        n = len(lats)
-        with trace.span("kernel.distance_matrix", n_regions=n):
-            matrix = np.zeros((n, n))
-            for i in range(n):
-                lat1, lon1 = lats[i], lons[i]
-                row = matrix[i]
-                for j in range(i + 1, n):
-                    row[j] = great_circle_km(lat1, lon1, lats[j], lons[j])
-            lower = matrix.T.copy()
-            matrix += lower
-            matrix.setflags(write=False)
-            _DISTANCE_CACHE[topology] = matrix
-        metrics.counter("kernel.distance_matrix.builds.total").inc()
-    return matrix
+    return _world_tables(topology).distances
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,10 +289,12 @@ class KernelDelta:
 class FlowKernel:
     """Precomputed batch resolver for one ``(topology, routing)`` pair.
 
-    Everything that is fixed once BGP has converged — selected paths,
-    per-AS PoP footprints, per-host attachment candidates — is packed
-    into padded integer matrices at construction; :meth:`resolve` is then
-    pure array code with no per-client Python dispatch.
+    Everything that is fixed once BGP has converged — selected paths and
+    per-host attachment candidates — is packed into padded integer
+    matrices at construction; the world's distance matrix and early-exit
+    table are shared with every other kernel over the same world.
+    :meth:`resolve` is then pure array code with no per-client Python
+    dispatch.
     """
 
     def __init__(self, topology: Topology, routing) -> None:
@@ -223,21 +306,10 @@ class FlowKernel:
     def _build(self, topology: Topology, routing) -> None:
         self.topology = topology
         self.routing = routing
-        self.distances = region_distance_matrix(topology)
-
-        # -- per-AS PoP footprints (for intermediate-hop early exit) ------
-        as_ids = np.fromiter(topology.nodes, dtype=np.int64)
-        as_ids.sort()
-        self._as_ids = as_ids
-        max_footprint = max(len(n.region_ids) for n in topology.nodes.values())
-        footprint = np.zeros((len(as_ids), max_footprint), dtype=np.int32)
-        footprint_ok = np.zeros((len(as_ids), max_footprint), dtype=bool)
-        for row, asn in enumerate(as_ids):
-            regions = topology.nodes[int(asn)].region_ids
-            footprint[row, : len(regions)] = regions
-            footprint_ok[row, : len(regions)] = True
-        self._footprint = footprint
-        self._footprint_ok = footprint_ok
+        tables = _world_tables(topology)
+        self.distances = tables.distances
+        self._as_ids = as_ids = tables.as_ids
+        self._exit = tables.exit
 
         self._build_attachment_tables(routing)
 
@@ -253,7 +325,7 @@ class FlowKernel:
         max_mid = 0
         for asn in routed:
             max_mid = max(max_mid, len(routing.route(asn).path) - 2)
-        # Intermediate hops as footprint-row indices, padded with -1.
+        # Intermediate hops as ``as_ids`` row indices, padded with -1.
         hops = np.full((n_routes, max(max_mid, 0)), _NO_ROW, dtype=np.int32)
         for asn, row in route_row.items():
             route = routing.route(asn)
@@ -609,27 +681,24 @@ class FlowKernel:
         km_before_entry = np.zeros(n)
         chains: list[list[int]] | None = [[] for _ in range(n)] if want_chain else None
 
-        # Walk intermediate ASes depth by depth: each step is an argmin
-        # over the hop AS's PoP footprint, exactly the scalar
-        # ``AsNode.nearest_pop`` (strict <, first minimum wins — numpy's
-        # argmin keeps the first occurrence over identical floats).
+        # Walk intermediate ASes depth by depth: each step looks up the
+        # hop AS's early-exit PoP for the flow's current region (exactly
+        # the scalar ``AsNode.nearest_pop``).  Hop rows are contiguous
+        # from depth 0, so the rows still walking only ever shrink.
+        live = np.flatnonzero(ok)
         for depth in range(self._max_mid):
-            hop_rows = np.where(ok, self._hops[row, depth], _NO_ROW)
-            active = hop_rows != _NO_ROW
-            if not active.any():
+            hop_rows = self._hops[row[live], depth]
+            walking = hop_rows != _NO_ROW
+            live, hop_rows = live[walking], hop_rows[walking]
+            if not len(live):
                 break
-            hop_fp = self._footprint[hop_rows[active]]
-            hop_ok = self._footprint_ok[hop_rows[active]]
-            hop_km = np.where(
-                hop_ok, distances[current[active, None], hop_fp], np.inf
-            )
-            picked = np.argmin(hop_km, axis=1)
-            next_region = hop_fp[np.arange(len(picked)), picked]
-            km_before_entry[active] += distances[current[active], next_region]
-            current[active] = next_region
+            here = current[live]
+            next_region = self._exit[hop_rows, here]
+            km_before_entry[live] += distances[here, next_region]
+            current[live] = next_region
             if chains is not None:
-                for i, region in zip(np.flatnonzero(active), next_region):
-                    chains[i].append(int(region))
+                for i, region in zip(live.tolist(), next_region.tolist()):
+                    chains[i].append(region)
 
         # Terminal early exit among the terminal AS's own attachments:
         # lexicographic min by (distance, attachment_id), falling back to

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..bgp import Attachment
 from ..users.population import UserBase
 from .builders import CdnSystem
@@ -143,48 +145,40 @@ class FailureImpact:
 def failure_impact(
     before: Deployment, after: Deployment, user_base: UserBase
 ) -> FailureImpact:
-    """Measure a failure's user impact over the whole user base."""
+    """Measure a failure's user impact over the whole user base.
+
+    Only locations served by both deployments count.  User counts are
+    integers below 2**53, so every float sum here is exact in any order.
+    """
     from ..core.cdf import WeightedCdf
 
-    locations = list(user_base)
-    asns = [loc.asn for loc in locations]
-    regions = [loc.region_id for loc in locations]
+    locations = user_base.locations
+    n = len(locations)
+    asns = np.fromiter((loc.asn for loc in locations), dtype=np.int64, count=n)
+    regions = np.fromiter((loc.region_id for loc in locations), dtype=np.int64, count=n)
+    users = np.fromiter((loc.users for loc in locations), dtype=np.int64, count=n)
     batch_before = before.resolve_many(asns, regions)
     batch_after = after.resolve_many(asns, regions)
 
-    rtts_before: list[float] = []
-    rtts_after: list[float] = []
-    weights: list[float] = []
-    rerouted = 0
-    measured = 0
-    load_before: dict[int, float] = {}
-    load_after: dict[int, float] = {}
-    for index, location in enumerate(locations):
-        if not (batch_before.ok[index] and batch_after.ok[index]):
-            continue
-        measured += location.users
-        if batch_before.site_region_ids[index] != batch_after.site_region_ids[index]:
-            rerouted += location.users
-        rtts_before.append(float(batch_before.base_rtt_ms[index]))
-        rtts_after.append(float(batch_after.base_rtt_ms[index]))
-        weights.append(float(location.users))
-        site_before = int(batch_before.site_ids[index])
-        site_after = int(batch_after.site_ids[index])
-        load_before[site_before] = load_before.get(site_before, 0.0) + location.users
-        load_after[site_after] = load_after.get(site_after, 0.0) + location.users
-    if not weights:
+    both = batch_before.ok & batch_after.ok
+    if not both.any():
         raise ValueError("no users could be measured against both deployments")
-    cdf_before = WeightedCdf(rtts_before, weights)
-    cdf_after = WeightedCdf(rtts_after, weights)
-    total = sum(weights)
+    users = users[both]
+    moved = batch_before.site_region_ids[both] != batch_after.site_region_ids[both]
+    weights = users.astype(np.float64)
+    cdf_before = WeightedCdf(batch_before.base_rtt_ms[both], weights)
+    cdf_after = WeightedCdf(batch_after.base_rtt_ms[both], weights)
+    total = float(weights.sum())
+    load_before = np.bincount(batch_before.site_ids[both], weights=weights)
+    load_after = np.bincount(batch_after.site_ids[both], weights=weights)
     return FailureImpact(
         name=f"{before.name} → {after.name}",
-        users_measured=measured,
-        users_rerouted=rerouted,
+        users_measured=int(users.sum()),
+        users_rerouted=int(users[moved].sum()),
         median_rtt_before_ms=cdf_before.median,
         median_rtt_after_ms=cdf_after.median,
         p95_rtt_before_ms=cdf_before.quantile(0.95),
         p95_rtt_after_ms=cdf_after.quantile(0.95),
-        max_site_share_before=max(load_before.values()) / total,
-        max_site_share_after=max(load_after.values()) / total,
+        max_site_share_before=float(load_before.max()) / total,
+        max_site_share_after=float(load_after.max()) / total,
     )

@@ -25,8 +25,7 @@ from .scenario import Scenario
 #: The kernel tables whose equality defines "bitwise identical".
 KERNEL_TABLES = (
     "_as_ids",
-    "_footprint",
-    "_footprint_ok",
+    "_exit",
     "attachment_region_ids",
     "_cand_att",
     "_cand_region",

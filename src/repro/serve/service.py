@@ -37,6 +37,7 @@ __all__ = [
     "service_task",
     "MAX_RESOLVE_ROWS",
     "MAX_WHATIF_SITES",
+    "MAX_ASN",
 ]
 
 _log = get_logger("serve.service")
@@ -48,6 +49,10 @@ MAX_RESOLVE_ROWS = 100_000
 #: Hard cap on sites added/removed by one what-if (re-propagation is the
 #: most expensive operation a compute slot runs).
 MAX_WHATIF_SITES = 16
+
+#: ASNs are 32-bit (RFC 6793).  The bound also keeps the kernel's int64
+#: ``asn × regions + region`` pair keys from overflowing.
+MAX_ASN = 2**32
 
 
 class ServiceError(Exception):
@@ -98,9 +103,10 @@ class AnycastService:
         """Build every kernel and distance table before serving traffic.
 
         One single-row resolve per deployment forces the lazy kernel
-        (and the shared region distance matrix) to materialise now, so
-        the first real request pays nothing and forked pool workers
-        inherit the tables copy-on-write.
+        (and the world's shared distance matrix and early-exit table,
+        built once however many artifacts carry a topology copy) to
+        materialise now, so the first real request pays nothing and
+        forked pool workers inherit the tables copy-on-write.
         """
         probe_asn = int(self._pop_asns[0])
         probe_region = int(self._pop_regions[0])
@@ -169,6 +175,8 @@ class AnycastService:
             ):
                 raise _bad_request(f"pairs[{index}] is not an [asn, region] integer pair")
             asn, region = pair
+            if not 0 <= asn < MAX_ASN:
+                raise _bad_request(f"pairs[{index}]: asn {asn} outside [0, 2**32)")
             if not 0 <= region < n_regions:
                 raise _bad_request(
                     f"pairs[{index}]: region {region} outside [0, {n_regions})"

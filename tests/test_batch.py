@@ -10,6 +10,7 @@ oracles precisely so these tests stay non-trivial.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +179,41 @@ class TestDistanceMatrix:
         assert region_distance_matrix(topology) is matrix
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
+
+
+class TestEarlyExitTable:
+    """One read-only ``exit[as_row, region]`` table per world."""
+
+    def test_matches_scalar_nearest_pop(self, letter, topology):
+        kernel = letter.kernel
+        world = topology.world
+        assert kernel._exit.shape == (len(topology.nodes), len(world))
+        for row, asn in enumerate(kernel._as_ids.tolist()):
+            node = topology.node(asn)
+            for region in world.regions:
+                assert kernel._exit[row, region.region_id] == node.nearest_pop(
+                    region.location, world
+                ), (asn, region.region_id)
+
+    def test_readonly(self, letter):
+        with pytest.raises(ValueError):
+            letter.kernel._exit[0, 0] = 0
+
+    def test_shared_by_every_kernel(self, letters, cdn):
+        kernels = [d.kernel for d in letters.values()] + [cdn.fabric.kernel]
+        first = kernels[0]
+        for kernel in kernels[1:]:
+            assert kernel._exit is first._exit
+            assert kernel.distances is first.distances
+            assert kernel._as_ids is first._as_ids
+
+    def test_pickled_topology_copy_shares_the_tables(self, letter, topology):
+        copy = pickle.loads(pickle.dumps(topology))
+        assert copy is not topology
+        assert region_distance_matrix(copy) is region_distance_matrix(topology)
+        kernel = FlowKernel(copy, letter.routing)
+        assert kernel._exit is letter.kernel._exit
+        assert kernel.distances is letter.kernel.distances
 
 
 class TestMixMany:

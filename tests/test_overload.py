@@ -443,12 +443,13 @@ class TestPoolSignals:
 
 # -- in-process daemon: genuine saturation, deterministic -------------------
 
-def _fetch(port, path, *, headers=None, timeout=60):
+def _fetch(port, path, *, method="GET", payload=None, headers=None, timeout=60):
     """One keep-alive-capable request; returns (status, headers, body, secs)."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    data = None if payload is None else json.dumps(payload)
     try:
         started = time.monotonic()
-        connection.request("GET", path, headers=headers or {})
+        connection.request(method, path, body=data, headers=headers or {})
         response = connection.getresponse()
         body = response.read()
         elapsed = time.monotonic() - started
@@ -608,6 +609,19 @@ class TestOneWorkerPoolInProcess:
         phases = record["phases"]
         assert phases["queue"] > 500.0, phases
         assert phases["compute"] < phases["queue"], phases
+
+    def test_out_of_range_asn_is_a_client_error(self, service):
+        config = ServeConfig(workers=1, breaker_threshold=1)
+        with _one_worker_daemon(service, config) as (app, _daemon, port):
+            status, _, body, _ = _fetch(
+                port, "/v1/resolve", method="POST",
+                payload={"deployment": "2018-K", "pairs": [[2**63, 0]]},
+            )
+        assert status == 400
+        _assert_error_envelope(json.loads(body), 400)
+        assert "outside [0, 2**32)" in json.loads(body)["payload"]["error"]["message"]
+        # A client's bad input is no pool failure.
+        assert app.breaker.state == "closed"
 
     def test_expired_query_does_not_hold_the_half_open_probe(self, service):
         config = ServeConfig(workers=1, breaker_threshold=1, breaker_cooldown=0)

@@ -26,6 +26,8 @@ import pytest
 import repro
 from repro.anycast import CdnRing, IndependentDeployment, withdraw_sites
 from repro.anycast.resilience import failure_impact
+from repro.engine import ArtifactCache
+from repro.experiments import Scenario
 from repro.obs.schema import validate_access_log_file
 from repro.obs.trace import load_trace
 from repro.serve import (
@@ -126,6 +128,9 @@ class TestServiceOps:
         ([[1.5, 0]], "integer pair"),
         ([[True, 0]], "integer pair"),
         ([[1, 10**9]], "outside"),
+        ([[2**63, 0]], r"asn 9223372036854775808 outside \[0, 2\*\*32\)"),
+        ([[2**32, 0]], r"asn 4294967296 outside"),
+        ([[-1, 0]], r"asn -1 outside"),
     ])
     def test_resolve_rejects_malformed_pairs(self, service, pairs, message):
         with pytest.raises(ServiceError, match=message) as excinfo:
@@ -214,6 +219,24 @@ class TestServiceOps:
     def test_unknown_op_is_400(self, service):
         with pytest.raises(ServiceError, match="unknown operation"):
             service.execute("reticulate", {})
+
+    def test_kernels_over_unpickled_world_copies_share_the_tables(
+            self, tmp_path, monkeypatch):
+        # On a filled cache, letters_2018, letters_2020 and cdn each
+        # unpickle their own copy of the internet's topology; every
+        # kernel must still share one distance matrix and exit table.
+        monkeypatch.delenv("ANYCAST_REPRO_NO_CACHE", raising=False)
+        cache = ArtifactCache(root=tmp_path)
+        stages = ["internet", "user_base", "letters_2018", "letters_2020", "cdn"]
+        Scenario(scale="small", seed=0, cache=cache).prepare(stages)
+        service = AnycastService(Scenario(scale="small", seed=0, cache=cache))
+        kernels = [
+            d.fabric.kernel if isinstance(d, CdnRing) else d.kernel
+            for d in service.deployments.values()
+        ]
+        assert len({id(k.topology) for k in kernels}) == 3
+        assert len({id(k.distances) for k in kernels}) == 1
+        assert len({id(k._exit) for k in kernels}) == 1
 
 
 # -- the real daemon over loopback HTTP -------------------------------------
