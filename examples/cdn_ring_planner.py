@@ -70,7 +70,7 @@ def whatif_sweep(scenario: Scenario) -> None:
     ][:3]
     rows = []
     for region_id in candidates:
-        grown = apply_mutation(letter, plan_add_regions(scenario.internet, letter, [region_id]))
+        grown = apply_mutation(letter, plan_add_regions(letter, [region_id]))
         impact = failure_impact(letter, grown, users)
         rows.append(
             {

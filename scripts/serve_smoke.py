@@ -10,7 +10,9 @@ Boots the daemon on an ephemeral port at the small scale, hits every
 each JSON response against the checked-in ``docs/serve.schema.json``,
 checks the ``X-Request-Id`` contract (always present, inbound ids
 honoured), checks that ``/v1/debug/statusz`` reports an admission
-capacity (``max_inflight``) of one slot per ``--workers``, asserts the
+capacity (``max_inflight``) of one slot per ``--workers``, checks that
+a malformed request line is answered 400 and moves
+``repro_serve_responses_400_total`` by exactly one, asserts the
 Prometheus exposition carries the per-endpoint counters plus the phase
 histograms and resource gauges, then SIGTERMs and requires a clean
 drain (exit 0).
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -61,6 +64,24 @@ def _post(base: str, path: str, payload: dict):
     )
     with urllib.request.urlopen(request, timeout=120) as response:
         return response.status, response.read()
+
+
+def _metric(base: str, name: str) -> float:
+    """One series' value on ``/v1/metrics`` (0 before its first count)."""
+    _, body = _get(base, "/v1/metrics")
+    for line in body.decode().splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def _send_raw(base: str, data: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; the reply up to the daemon's close."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=120) as sock:
+        sock.sendall(data)
+        with sock.makefile("rb") as stream:
+            return stream.read()
 
 
 #: The Ctrl-C leg's drain window: the daemon must be gone within it.
@@ -173,6 +194,20 @@ def main() -> int:
                 failures += _fail("400 response is not schema-valid")
             else:
                 print("  /v1/resolve (empty batch): 400, schema-valid")
+
+        # A request refused while parsing never reaches the router; it
+        # must still be answered, and counted exactly once.
+        before = _metric(base, "repro_serve_responses_400_total")
+        reply = _send_raw(base, b"GARBAGE\r\n\r\n")
+        moved = _metric(base, "repro_serve_responses_400_total") - before
+        if not reply.startswith(b"HTTP/1.1 400 "):
+            failures += _fail(f"malformed request line: expected 400, got {reply[:40]!r}")
+        elif moved != 1:
+            failures += _fail(
+                f"malformed request line moved repro_serve_responses_400_total by {moved:g}, not 1"
+            )
+        else:
+            print("  malformed request line: 400, counted once")
 
         # Request-id contract: every response carries X-Request-Id, and
         # a well-formed inbound id is echoed back verbatim.

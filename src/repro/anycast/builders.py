@@ -18,6 +18,7 @@ from ..bgp import Attachment
 from ..geo import make_rng
 from ..obs import trace
 from ..topology import ASKind, GeneratedInternet, Relationship
+from ..topology.graph import Topology
 from .batch import ResolvedBatch
 from .cdn import CdnFabric, CdnRing
 from .deployment import IndependentDeployment
@@ -106,22 +107,22 @@ def sample_site_regions(
 
 
 def _hosting_transits(
-    internet: GeneratedInternet, region_id: int, rng: np.random.Generator, count: int
+    topology: Topology, region_id: int, rng: np.random.Generator, count: int
 ) -> list[int]:
     """Transit ASes to buy service from at a site (nearest fallback)."""
-    topology = internet.topology
     local = topology.transits_in_region(region_id)
     if local:
         size = min(count, len(local))
         return [int(a) for a in rng.choice(local, size=size, replace=False)]
     # No transit PoP in this region: buy from the transit whose nearest
     # PoP is closest (common for sites in sparsely served regions).
-    here = internet.world.region(region_id).location
+    world = topology.world
+    here = world.region(region_id).location
     candidates = topology.ases_of_kind(ASKind.TRANSIT) + topology.ases_of_kind(ASKind.TIER1)
     best = min(
         candidates,
-        key=lambda asn: internet.world.region(
-            topology.node(asn).nearest_pop(here, internet.world)
+        key=lambda asn: world.region(
+            topology.node(asn).nearest_pop(here, world)
         ).location.distance_km(here),
     )
     return [best]
@@ -202,7 +203,7 @@ def build_letter(
         site = Site(site_id=index, region_id=region_id,
                     name=f"{spec.letter}{index:03d}", is_global=True)
         sites.append(site)
-        hosts = _hosting_transits(internet, region_id, rng, spec.transits_per_site)
+        hosts = _hosting_transits(internet.topology, region_id, rng, spec.transits_per_site)
         for host in hosts:
             attach(site.site_id, host, Relationship.CUSTOMER, region_id, local=False)
         if rng.uniform() < spec.peer_fraction:
@@ -221,7 +222,7 @@ def build_letter(
                           name=f"{spec.letter}L{offset:03d}", is_global=False))
         candidates = internet.topology.ases_in_region(region_id)
         host = int(rng.choice(candidates)) if candidates else _hosting_transits(
-            internet, region_id, rng, 1
+            internet.topology, region_id, rng, 1
         )[0]
         attach(site_id, host, Relationship.CUSTOMER, region_id, local=True)
 

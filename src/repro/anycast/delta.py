@@ -121,15 +121,16 @@ def plan_withdraw(
 
 
 def plan_add_regions(
-    internet, deployment: IndependentDeployment, region_ids: list[int]
+    deployment: IndependentDeployment, region_ids: list[int]
 ) -> DeploymentMutation:
     """Plan ``deployment`` plus new global sites in ``region_ids``.
 
     Mirrors :func:`~repro.anycast.builders.build_letter`'s transit
-    hosting for the new sites.  The RNG key is frozen to the historical
-    ``serve.whatif:<regions>`` spelling (this planner started life in
-    the serve layer) so existing goldens and replayed what-ifs keep
-    building the same announcement set.
+    hosting for the new sites, over the topology the deployment already
+    carries (so a planner needs no ``internet`` artifact).  The RNG key
+    is frozen to the historical ``serve.whatif:<regions>`` spelling
+    (this planner started life in the serve layer) so existing goldens
+    and replayed what-ifs keep building the same announcement set.
     """
     sites = list(deployment.sites)
     attachments = list(deployment.routing.attachments.values())
@@ -148,7 +149,7 @@ def plan_add_regions(
                 is_global=True,
             )
         )
-        for host in _hosting_transits(internet, region_id, rng, 1):
+        for host in _hosting_transits(deployment.topology, region_id, rng, 1):
             attachments.append(
                 Attachment(
                     attachment_id=next_attachment,

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..bgp import Attachment
 from ..users.population import UserBase
+from .batch import ResolvedBatch
 from .builders import CdnSystem
 from .cdn import CdnFabric, CdnRing
 from .deployment import Deployment, IndependentDeployment
@@ -29,6 +30,7 @@ __all__ = [
     "fail_pops",
     "FailureImpact",
     "failure_impact",
+    "batch_impact",
 ]
 
 
@@ -145,20 +147,30 @@ class FailureImpact:
 def failure_impact(
     before: Deployment, after: Deployment, user_base: UserBase
 ) -> FailureImpact:
-    """Measure a failure's user impact over the whole user base.
-
-    Only locations served by both deployments count.  User counts are
-    integers below 2**53, so every float sum here is exact in any order.
-    """
-    from ..core.cdf import WeightedCdf
-
+    """Measure a failure's user impact over the whole user base."""
     locations = user_base.locations
     n = len(locations)
     asns = np.fromiter((loc.asn for loc in locations), dtype=np.int64, count=n)
     regions = np.fromiter((loc.region_id for loc in locations), dtype=np.int64, count=n)
     users = np.fromiter((loc.users for loc in locations), dtype=np.int64, count=n)
-    batch_before = before.resolve_many(asns, regions)
-    batch_after = after.resolve_many(asns, regions)
+    return batch_impact(
+        f"{before.name} → {after.name}",
+        before.resolve_many(asns, regions),
+        after.resolve_many(asns, regions),
+        users,
+    )
+
+
+def batch_impact(
+    name: str, batch_before: ResolvedBatch, batch_after: ResolvedBatch, users: np.ndarray
+) -> FailureImpact:
+    """A change's impact on one population resolved before and after it.
+
+    Row ``i`` of both batches holds ``users[i]`` users; only rows served
+    by both count.  User counts are integers below 2**53, so every sum
+    here is exact in any order and either dtype.
+    """
+    from ..core.cdf import WeightedCdf
 
     both = batch_before.ok & batch_after.ok
     if not both.any():
@@ -172,7 +184,7 @@ def failure_impact(
     load_before = np.bincount(batch_before.site_ids[both], weights=weights)
     load_after = np.bincount(batch_after.site_ids[both], weights=weights)
     return FailureImpact(
-        name=f"{before.name} → {after.name}",
+        name=name,
         users_measured=int(users.sum()),
         users_rerouted=int(users[moved].sum()),
         median_rtt_before_ms=cdf_before.median,

@@ -84,8 +84,8 @@ def whatif01(scenario: Scenario) -> ExperimentResult:
             plan_r = plan_withdraw(via_rebuild, list(arg))
         else:
             regions = [r % n_regions for r in arg]
-            plan_d = plan_add_regions(scenario.internet, via_delta, regions)
-            plan_r = plan_add_regions(scenario.internet, via_rebuild, regions)
+            plan_d = plan_add_regions(via_delta, regions)
+            plan_r = plan_add_regions(via_rebuild, regions)
         via_delta = apply_mutation(via_delta, plan_d)
         via_rebuild = rebuild(via_rebuild, plan_r)
         step_ok = deployments_identical(via_delta, via_rebuild)

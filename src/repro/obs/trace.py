@@ -89,11 +89,12 @@ class _RemoteParent:
     duration is counted twice.
     """
 
-    __slots__ = ("span_id", "child_s")
+    __slots__ = ("span_id", "child_s", "child_tally")
 
     def __init__(self, span_id: str | None):
         self.span_id = span_id
         self.child_s = 0.0
+        self.child_tally = None
 
 
 class Span:
@@ -101,7 +102,8 @@ class Span:
 
     Attributes set via :meth:`set` (or the ``span(...)`` kwargs) land in
     the record's ``attrs`` object.  ``dur_s``/``self_s`` are valid after
-    ``__exit__``.
+    ``__exit__``, as is ``child_tally`` — ``None`` unless the span opted
+    in with :meth:`tally_children`.
     """
 
     __slots__ = (
@@ -112,6 +114,7 @@ class Span:
         "start_ts",
         "dur_s",
         "child_s",
+        "child_tally",
         "_start_pc",
         "_token",
         "_tracer",
@@ -126,6 +129,7 @@ class Span:
         self.start_ts = 0.0
         self.dur_s = 0.0
         self.child_s = 0.0
+        self.child_tally: dict[str, float] | None = None
         self._start_pc = 0.0
         self._token = None
 
@@ -148,6 +152,11 @@ class Span:
         self.attrs.update(attrs)
         return self
 
+    def tally_children(self) -> "Span":
+        """Opt in: sum direct children's ``dur_s`` by name (not grandchildren)."""
+        self.child_tally = {}
+        return self
+
     def __enter__(self) -> "Span":
         tracer = self._tracer
         tracer._seq += 1
@@ -164,6 +173,9 @@ class Span:
         parent = self.parent
         if parent is not None:
             parent.child_s += self.dur_s
+            tally = parent.child_tally
+            if tally is not None:
+                tally[self.name] = tally.get(self.name, 0.0) + self.dur_s
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         if self._tracer._enabled:

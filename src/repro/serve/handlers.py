@@ -1,14 +1,14 @@
-"""``/v1`` endpoint handlers: routing, validation, instrumentation.
+"""``/v1`` endpoint handlers: routing, validation, serialization.
 
 Every JSON response is wrapped in the :mod:`repro.serve.schema`
 envelope; ``/v1/metrics`` alone speaks the Prometheus text exposition
 (that format has no room for an envelope — it is the one documented
-exemption).  Each request increments ``serve.requests.total`` and
-``serve.<endpoint>.requests.total``, observes its wall time in
-``serve.<endpoint>.latency_ms``, and counts its status class in
-``serve.responses.<code>.total`` — all in the same
-:mod:`repro.obs.metrics` registry the rest of the engine reports to,
-which is exactly what ``/v1/metrics`` then exposes.
+exemption).  Serializing a response is the request's ``serve.serialize``
+phase span.  The request counters and latency histograms are not
+counted here: they are derived from the closed ``serve.request`` span
+(see :mod:`repro.serve.telemetry`).  ``/v1/metrics`` and
+``/v1/debug/vars`` set the resource and load gauges as they are
+scraped, so the registry they expose is current without a sampler.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 from ..obs import metrics, sample_process_stats, trace
-from ..obs.metrics import LATENCY_BUCKETS_MS
 from .overload import DRAIN_RETRY_AFTER_S, Deadline, count_shed
 from .schema import envelope
 from .service import ServiceError
-from .telemetry import add_phase
 
 __all__ = ["Request", "Response", "handle", "ENDPOINTS"]
 
@@ -98,10 +95,22 @@ class Response:
 
 
 def _json_response(status: int, endpoint: str, payload: dict) -> Response:
-    with trace.span("serve.serialize") as span:
+    with trace.span("serve.serialize"):
         body = json.dumps(envelope(endpoint, payload)).encode("utf-8")
-    add_phase("serialize", span.dur_s)
     return Response(status=status, body=body, endpoint=endpoint)
+
+
+def _scrape_gauges(app) -> dict:
+    """Set the resource and load gauges now; returns the process sample."""
+    stats = sample_process_stats()
+    if stats["rss_bytes"] is not None:
+        metrics.gauge("process.rss_bytes").set(stats["rss_bytes"])
+    if stats["open_fds"] is not None:
+        metrics.gauge("process.open_fds").set(stats["open_fds"])
+    metrics.gauge("serve.inflight").set(app.lifecycle.inflight)
+    metrics.gauge("serve.admission.inflight").set(app.admission.inflight)
+    metrics.gauge("serve.admission.queued").set(app.admission.queued)
+    return stats
 
 
 def error_response(status: int, endpoint: str, message: str, *,
@@ -152,39 +161,30 @@ async def handle(app, request: Request, *, reject_draining: bool = False) -> Res
     flight when the drain started are answered normally — that is the
     grace window's whole point.
     """
-    started = time.monotonic()
     endpoint = "unrouted"
     try:
         endpoint, argument = _route(request.method, request.path)
         if reject_draining and endpoint not in _DRAIN_EXEMPT:
             count_shed("drain")
-            response = error_response(
+            return error_response(
                 503, endpoint,
                 f"draining ({app.lifecycle.reason}); not accepting work",
                 retry_after_s=DRAIN_RETRY_AFTER_S, details={"reason": "drain"},
             )
-        else:
-            # The compute budget starts here: per-endpoint default,
-            # overridable (either way) by X-Deadline-Ms.
-            deadline = Deadline.for_request(
-                endpoint, request.headers, app.config.deadline_ms
-            )
-            response = await _dispatch(app, endpoint, argument, request, deadline)
+        # The compute budget starts here: per-endpoint default,
+        # overridable (either way) by X-Deadline-Ms.
+        deadline = Deadline.for_request(
+            endpoint, request.headers, app.config.deadline_ms
+        )
+        return await _dispatch(app, endpoint, argument, request, deadline)
     except ServiceError as error:
-        response = error_response(
+        return error_response(
             error.status, endpoint, str(error),
             retry_after_s=getattr(error, "retry_after_s", None),
             details=getattr(error, "details", None),
         )
     except Exception as error:  # noqa: BLE001 - the daemon must not die per-request
-        response = error_response(500, endpoint, f"{type(error).__name__}: {error}")
-    metrics.counter("serve.requests.total").inc()
-    metrics.counter(f"serve.{endpoint}.requests.total").inc()
-    metrics.counter(f"serve.responses.{response.status}.total").inc()
-    metrics.histogram(
-        f"serve.{endpoint}.latency_ms", buckets=LATENCY_BUCKETS_MS
-    ).observe((time.monotonic() - started) * 1000.0)
-    return response
+        return error_response(500, endpoint, f"{type(error).__name__}: {error}")
 
 
 async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
@@ -201,9 +201,9 @@ async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
             "workers": app.config.workers,
         })
     if endpoint == "metrics":
-        with trace.span("serve.serialize") as span:
+        _scrape_gauges(app)
+        with trace.span("serve.serialize"):
             body = metrics.to_text().encode("utf-8")
-        add_phase("serialize", span.dur_s)
         return Response(
             status=200,
             body=body,
@@ -241,8 +241,9 @@ async def _dispatch(app, endpoint: str, argument: str | None, request: Request,
             "access_log": config.access_log,
         })
     if endpoint == "debug.vars":
+        process = _scrape_gauges(app)
         return _json_response(200, endpoint, {
-            "process": sample_process_stats(),
+            "process": process,
             "metrics": metrics.snapshot(),
         })
     if endpoint == "scenario":

@@ -27,17 +27,18 @@ copy-on-write.
 
 Request telemetry: every request gets a ``trace_id`` (honouring an
 inbound ``X-Request-Id``), echoed back as ``X-Request-Id`` and bound to
-the context so structured log lines carry it.  Around the request the
-daemon opens a ``serve.request`` span with ``serve.parse`` /
-``serve.queue`` / ``serve.compute`` / ``serve.serialize`` children;
-with ``--trace`` the whole daemon runs inside
+the context so structured log lines carry it.  Each request is one
+``serve.request`` span with ``serve.parse`` / ``serve.queue`` /
+``serve.compute`` / ``serve.serialize`` children, and that span is its
+only record: when it closes,
+:class:`~repro.serve.telemetry.RequestTelemetry` derives the access
+record (``--access-log``, ``/v1/debug/tracez``) and the request
+metrics from it.  With ``--trace`` the whole daemon runs inside
 :meth:`~repro.obs.trace.Tracer.capture`, so forked workers shard spans
 re-rooted under the request's compute frame and the merged trace
-telescopes across processes.  ``--access-log`` writes one JSON record
-per request (see :mod:`repro.serve.telemetry`); a background sampler
-keeps ``process.rss_bytes`` / ``process.open_fds`` / ``serve.inflight``
-/ ``serve.admission.*`` gauges fresh for ``/v1/metrics`` and
-``/v1/debug/vars``.
+telescopes across processes.  ``/v1/metrics`` and ``/v1/debug/vars``
+set the ``process.*``, ``serve.inflight`` and ``serve.admission.*``
+gauges when they are scraped.
 
 Shutdown (see :mod:`repro.serve.lifecycle`): SIGTERM closes the
 listener, in-flight requests get ``--grace`` seconds, keep-alive
@@ -50,12 +51,11 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import sys
-import time
 import uuid
 
 from .. import faults
 from ..engine import ArtifactCache, MonitoredPool
-from ..obs import current_trace_id, get_logger, metrics, sample_process_stats, set_trace_id, trace
+from ..obs import current_trace_id, get_logger, metrics, set_trace_id, trace
 from .handlers import Request, Response, error_response, handle
 from .lifecycle import EXIT_IO, EXIT_PREEMPTED, EXIT_USAGE, Lifecycle, ServeConfig
 from .overload import (
@@ -67,13 +67,7 @@ from .overload import (
     count_expired,
 )
 from .service import AnycastService, ServiceError, install_service, service_task
-from .telemetry import (
-    ACCESS_LOG_SCHEMA_VERSION,
-    RequestTelemetry,
-    add_phase,
-    begin_request,
-    end_request,
-)
+from .telemetry import RequestTelemetry
 
 __all__ = ["App", "serve", "MAX_BODY_BYTES", "MAX_REQUEST_ID_CHARS"]
 
@@ -85,9 +79,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Longest honoured inbound ``X-Request-Id`` (anything longer, or with
 #: non-token characters, is ignored and the generated id is kept).
 MAX_REQUEST_ID_CHARS = 128
-
-#: Seconds between resource-gauge samples.
-SAMPLE_PERIOD_S = 1.0
 
 
 def _inbound_request_id(headers: dict) -> str | None:
@@ -131,28 +122,24 @@ class App:
         burns a retry or a worker) — including the overload verdicts:
         shed (429/503), deadline expired (504), workers lost (503).
 
-        Two phases are accounted here: ``serve.queue`` (the admission
-        queue — its span says whether the request was admitted or shed,
-        and why) and ``serve.compute`` (the pool or thread round-trip,
-        bounded by ``deadline``).  With tracing on, a pool worker
-        re-roots its spans under this context's compute frame, and the
-        worker's wall time is attributed to that frame's child time —
-        the same telescoping contract the batch runner keeps.
+        Two phase spans open here, and count however they end:
+        ``serve.queue`` (the admission queue — its span says whether the
+        request was admitted or shed, and why) and ``serve.compute``
+        (the pool or thread round-trip, bounded by ``deadline``).  With
+        tracing on, a pool worker re-roots its spans under this
+        context's compute frame, and the worker's wall time is
+        attributed to that frame's child time — the same telescoping
+        contract the batch runner keeps.
         """
-        try:
-            with trace.span("serve.queue") as queue_span:
-                try:
-                    await self.admission.acquire(op, deadline)
-                except ServiceError as error:
-                    queue_span.set(
-                        outcome=f"shed:{getattr(error, 'reason', None) or 'deadline'}"
-                    )
-                    raise
-                queue_span.set(outcome="admitted")
-        finally:
-            # dur_s is final only once the span closes, so attribute the
-            # phase here — on the shed path too.
-            add_phase("queue", queue_span.dur_s)
+        with trace.span("serve.queue") as queue_span:
+            try:
+                await self.admission.acquire(op, deadline)
+            except ServiceError as error:
+                queue_span.set(
+                    outcome=f"shed:{getattr(error, 'reason', None) or 'deadline'}"
+                )
+                raise
+            queue_span.set(outcome="admitted")
         try:
             return await self._compute(op, kwargs, deadline)
         finally:
@@ -187,7 +174,6 @@ class App:
                     metrics.counter("serve.degraded.total").inc()
                     metrics.counter(f"serve.{op}.degraded.total").inc()
                 verdict = await self._thread_compute(op, kwargs, deadline, degraded)
-        add_phase("compute", compute_span.dur_s)
         if verdict[0] == "error":
             raise ServiceError(verdict[1], verdict[2])
         return verdict[1]
@@ -308,67 +294,44 @@ class App:
                          request_line: bytes) -> bool:
         """Serve one request end to end; True = close the connection."""
         trace_id = uuid.uuid4().hex
-        record = {
-            "schema": ACCESS_LOG_SCHEMA_VERSION,
-            "ts": time.time(),
-            "trace_id": trace_id,
-            "method": "?",
-            "path": "?",
-            "endpoint": "unrouted",
-            "status": 0,
-            "dur_ms": 0.0,
-            "bytes_in": 0,
-            "bytes_out": 0,
-            "phases": {},
-        }
-        record_token = begin_request(record)
         set_trace_id(trace_id)
-        started = time.perf_counter()
-        close = False
+        request_span = trace.span("serve.request", trace_id=trace_id).tally_children()
         try:
-            with trace.span("serve.request", trace_id=trace_id) as request_span:
+            with request_span:
                 request: Request | None = None
                 parse_error: ServiceError | None = None
-                with trace.span("serve.parse") as parse_span:
+                with trace.span("serve.parse"):
                     try:
                         request = await _read_request(reader, request_line)
                     except ServiceError as error:
                         parse_error = error
-                add_phase("parse", parse_span.dur_s)
                 if request is not None:
-                    record["method"] = request.method
-                    record["path"] = request.path
-                    record["bytes_in"] = len(request.body)
                     inbound = _inbound_request_id(request.headers)
                     if inbound is not None:
                         trace_id = inbound
-                        record["trace_id"] = trace_id
                         set_trace_id(trace_id)
                     request_span.set(
-                        trace_id=trace_id, method=request.method, path=request.path
+                        trace_id=trace_id, method=request.method, path=request.path,
+                        bytes_in=len(request.body),
                     )
-                if parse_error is not None:
-                    response = error_response(
-                        parse_error.status, "unrouted", str(parse_error)
-                    )
-                    close = True
-                    response.headers["X-Request-Id"] = trace_id
-                    _write_response(writer, response, close=True)
-                    await writer.drain()
-                else:
-                    # Snapshot the drain state at arrival: a request read
-                    # off the wire before the drain began is answered
-                    # within the grace window; one arriving after it gets
-                    # 503.
-                    arrived_draining = self.lifecycle.draining
-                    slow = faults.maybe_fire(
-                        "slow_request", f"{request.method} {request.path}"
-                    )
-                    # The in-flight window covers the response flush too,
-                    # so a drain cannot tear the loop down under a
-                    # written-but-unflushed answer.
-                    self.lifecycle.request_started()
-                    try:
+                # Snapshot the drain state at arrival: a request read off
+                # the wire before the drain began is answered within the
+                # grace window; one arriving after it gets 503.
+                arrived_draining = self.lifecycle.draining
+                # The in-flight window covers the response flush too, so
+                # a drain cannot tear the loop down under a
+                # written-but-unflushed answer.
+                self.lifecycle.request_started()
+                try:
+                    if parse_error is not None:
+                        response = error_response(
+                            parse_error.status, "unrouted", str(parse_error)
+                        )
+                        close = True
+                    else:
+                        slow = faults.maybe_fire(
+                            "slow_request", f"{request.method} {request.path}"
+                        )
                         if slow is not None:
                             await asyncio.sleep(slow.delay())
                         response = await handle(
@@ -378,20 +341,18 @@ class App:
                             self.lifecycle.draining
                             or request.headers.get("connection", "").lower() == "close"
                         )
-                        response.headers["X-Request-Id"] = trace_id
-                        _write_response(writer, response, close=close)
-                        await writer.drain()
-                    finally:
-                        self.lifecycle.request_finished()
-                record["endpoint"] = response.endpoint
-                record["status"] = response.status
-                record["bytes_out"] = len(response.body)
-                request_span.set(endpoint=response.endpoint, status=response.status)
+                    request_span.set(
+                        endpoint=response.endpoint, status=response.status,
+                        bytes_out=len(response.body),
+                    )
+                    response.headers["X-Request-Id"] = trace_id
+                    _write_response(writer, response, close=close)
+                    await writer.drain()
+                finally:
+                    self.lifecycle.request_finished()
         finally:
-            record["dur_ms"] = (time.perf_counter() - started) * 1000.0
-            end_request(record_token)
             set_trace_id(None)  # keep-alive idle time carries no request id
-            self.telemetry.record(record)
+            self.telemetry.record(request_span)
         return close
 
 
@@ -437,20 +398,6 @@ def _write_response(writer: asyncio.StreamWriter, response: Response,
     writer.write(head.encode("latin-1") + response.body)
 
 
-async def _sample_resources(app: App, period: float = SAMPLE_PERIOD_S) -> None:
-    """Keep the process/daemon resource gauges fresh (background task)."""
-    while True:
-        stats = sample_process_stats()
-        if stats["rss_bytes"] is not None:
-            metrics.gauge("process.rss_bytes").set(stats["rss_bytes"])
-        if stats["open_fds"] is not None:
-            metrics.gauge("process.open_fds").set(stats["open_fds"])
-        metrics.gauge("serve.inflight").set(app.lifecycle.inflight)
-        metrics.gauge("serve.admission.inflight").set(app.admission.inflight)
-        metrics.gauge("serve.admission.queued").set(app.admission.queued)
-        await asyncio.sleep(period)
-
-
 async def _amain(app: App, *, ready=None) -> int:
     lifecycle = app.lifecycle
     lifecycle.install_signal_handlers(asyncio.get_running_loop())
@@ -461,17 +408,13 @@ async def _amain(app: App, *, ready=None) -> int:
     print(f"serving on http://{host}:{port}", flush=True)
     if ready is not None:
         ready(host, port)
-    sampler = asyncio.create_task(_sample_resources(app))
-    try:
-        async with server:
-            await lifecycle.wait_for_drain()
-            # Stop accepting: close the listening sockets; established
-            # connections (and their in-flight requests) live on below.
-            server.close()
-            await server.wait_closed()
-        drained = await lifecycle.wait_idle()
-    finally:
-        sampler.cancel()
+    async with server:
+        await lifecycle.wait_for_drain()
+        # Stop accepting: close the listening sockets; established
+        # connections (and their in-flight requests) live on below.
+        server.close()
+        await server.wait_closed()
+    drained = await lifecycle.wait_idle()
     if drained:
         _log.warning("drained cleanly (%s)", lifecycle.reason)
         return 0

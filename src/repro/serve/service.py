@@ -26,7 +26,7 @@ from .. import faults
 from ..anycast import IndependentDeployment
 from ..anycast.delta import apply_mutation, plan_add_regions, plan_withdraw, rebuild
 from ..anycast.deployment import Deployment
-from ..anycast.resilience import failure_impact
+from ..anycast.resilience import batch_impact
 from ..core.cdf import WeightedCdf
 from ..obs import MetricsRegistry, get_logger, metrics, set_trace_id, trace
 
@@ -137,7 +137,9 @@ class AnycastService:
     # -- operations --------------------------------------------------------
     def scenario_payload(self) -> dict:
         scenario = self.scenario
-        world = scenario.internet.world
+        # Every resident deployment carries the world's topology, so no
+        # query needs (or unpickles) the ``internet`` artifact.
+        topology = next(iter(self.deployments.values())).topology
         deployments = {}
         for name, deployment in sorted(self.deployments.items()):
             deployments[name] = {
@@ -150,8 +152,8 @@ class AnycastService:
         return {
             "scale": scenario.params.scale,
             "seed": scenario.params.seed,
-            "regions": len(world.regions),
-            "ases": len(scenario.internet.topology.nodes),
+            "regions": len(topology.world.regions),
+            "ases": len(topology.nodes),
             "total_users": scenario.user_base.total_users,
             "user_locations": len(scenario.user_base),
             "deployments": deployments,
@@ -166,7 +168,7 @@ class AnycastService:
                 f"batch of {len(pairs)} rows exceeds the {MAX_RESOLVE_ROWS}-row cap"
             )
         asns, regions = [], []
-        n_regions = len(self.scenario.internet.world.regions)
+        n_regions = len(deployment.topology.world.regions)
         for index, pair in enumerate(pairs):
             if (
                 not isinstance(pair, (list, tuple))
@@ -268,7 +270,7 @@ class AnycastService:
                 f"what-if touches {len(remove_sites) + len(add_regions)} sites; "
                 f"cap is {MAX_WHATIF_SITES}"
             )
-        n_regions = len(self.scenario.internet.world.regions)
+        n_regions = len(deployment.topology.world.regions)
         for region in add_regions:
             if not 0 <= region < n_regions:
                 raise _bad_request(f"add_regions: region {region} outside [0, {n_regions})")
@@ -286,13 +288,17 @@ class AnycastService:
             if remove_sites:
                 modified = apply(modified, plan_withdraw(modified, remove_sites))
             if add_regions:
-                modified = apply(
-                    modified,
-                    plan_add_regions(self.scenario.internet, modified, add_regions),
-                )
+                modified = apply(modified, plan_add_regions(modified, add_regions))
         except ValueError as error:
             raise _bad_request(str(error)) from None
-        impact = failure_impact(deployment, modified, self.scenario.user_base)
+        # The baseline is the memoised whole-user-base batch, so a
+        # what-if resolves only the modified deployment.
+        impact = batch_impact(
+            f"{deployment.name} → {modified.name}",
+            self._user_batch(deployment_name),
+            modified.resolve_many(self._pop_asns, self._pop_regions),
+            self._pop_users,
+        )
         return {
             "deployment": deployment_name,
             "removed_sites": remove_sites,

@@ -1,29 +1,32 @@
-"""Per-request telemetry: access records, phase accounting, debug rings.
+"""Per-request telemetry, derived from the ``serve.request`` span.
 
-Every request the daemon serves produces one *access record* — a flat
-JSON object (``ACCESS_LOG_SCHEMA``) tying together the request id, the
-routed endpoint, the status, the total wall time, and a per-phase
-breakdown (parse / queue / compute / serialize milliseconds).  The
-record is:
+The request span is the daemon's only per-request record.  The server
+sets the request's facts on it as attributes (``trace_id``,
+``method``, ``path``, ``bytes_in``, ``endpoint``, ``status``,
+``bytes_out``), and the span tallies its direct children — the
+``serve.parse`` / ``serve.queue`` / ``serve.compute`` /
+``serve.serialize`` phase spans — by name
+(:meth:`~repro.obs.trace.Span.tally_children`).  When the span closes,
+:meth:`RequestTelemetry.record` derives everything else from it, as
+:meth:`~repro.engine.report.StageRecord.from_span` does for stages:
 
-* appended to the ``--access-log`` JSONL file (line-buffered, one
-  object per line — the format ``repro inspect`` sniffs and aggregates);
-* kept in two in-memory rings — most recent and slowest — that back
-  ``GET /v1/debug/tracez``;
-* the source of the ``serve.phase.<name>_ms`` histograms in
-  ``/v1/metrics`` (recorded at phase time, not at flush time).
-
-The in-flight record rides a :mod:`contextvars` variable so deep callees
-(``App.execute``, the JSON serializer) can attribute phase time without
-threading a handle through every signature — the same pattern the span
-stack uses.
+* one *access record* (``ACCESS_LOG_SCHEMA``): ``ts`` and ``dur_ms``
+  are the span's start and duration, ``phases`` its children's
+  durations in milliseconds.  It is appended to the ``--access-log``
+  JSONL file (line-buffered, one object per line — the format
+  ``repro inspect`` sniffs and aggregates) and kept in two in-memory
+  rings, most recent and slowest, that back ``GET /v1/debug/tracez``;
+* the request metrics of ``/v1/metrics``: ``serve.requests.total``,
+  ``serve.<endpoint>.requests.total``, ``serve.responses.<code>.total``,
+  the ``serve.<endpoint>.latency_ms`` histogram (the whole request
+  span, parse and response write included) and the
+  ``serve.phase.<name>_ms`` histograms.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from contextvars import ContextVar
 
 from ..obs import metrics
 from ..obs.metrics import LATENCY_BUCKETS_MS
@@ -32,10 +35,6 @@ __all__ = [
     "ACCESS_LOG_SCHEMA",
     "ACCESS_LOG_SCHEMA_VERSION",
     "RequestTelemetry",
-    "begin_request",
-    "end_request",
-    "current_record",
-    "add_phase",
 ]
 
 #: Bumped whenever the access-record layout changes incompatibly.
@@ -68,44 +67,9 @@ ACCESS_LOG_SCHEMA: dict = {
     },
 }
 
-#: The access record of the request the current context is serving.
-_RECORD: ContextVar[dict | None] = ContextVar("repro_serve_record", default=None)
-
-
-def begin_request(record: dict):
-    """Bind ``record`` as the current request; returns a reset token."""
-    return _RECORD.set(record)
-
-
-def end_request(token) -> None:
-    _RECORD.reset(token)
-
-
-def current_record() -> dict | None:
-    """The in-flight access record, if the current context is a request."""
-    return _RECORD.get()
-
-
-def add_phase(name: str, dur_s: float) -> None:
-    """Attribute ``dur_s`` to phase ``name`` of the current request.
-
-    Also observes the process-wide ``serve.phase.<name>_ms`` histogram,
-    so the latency breakdown shows up in ``/v1/metrics`` even when no
-    access log is configured.  Safe to call outside a request (the
-    histogram still records; there is just no record to annotate).
-    """
-    ms = dur_s * 1000.0
-    record = _RECORD.get()
-    if record is not None:
-        phases = record["phases"]
-        phases[name] = phases.get(name, 0.0) + ms
-    metrics.histogram(
-        f"serve.phase.{name}_ms", buckets=LATENCY_BUCKETS_MS
-    ).observe(ms)
-
 
 class RequestTelemetry:
-    """The daemon's request-record sink: rings for debug, JSONL for disk.
+    """The daemon's request sink: metrics, rings for debug, JSONL for disk.
 
     One instance per :class:`~repro.serve.server.App`.  All methods run
     on the event loop (single-threaded), so plain containers suffice.
@@ -133,8 +97,44 @@ class RequestTelemetry:
                 pass
             self._handle = None
 
-    def record(self, entry: dict) -> None:
-        """Account one finished request: rings, counters, JSONL line."""
+    def record(self, span) -> None:
+        """Account one closed ``serve.request`` span: metrics, rings, JSONL line.
+
+        A request whose client hung up before any answer existed
+        (status 0) is logged but not counted.
+        """
+        attrs = span.attrs
+        endpoint = attrs.get("endpoint", "unrouted")
+        status = attrs.get("status", 0)
+        dur_ms = span.dur_s * 1000.0
+        phases = {
+            name.removeprefix("serve."): dur_s * 1000.0
+            for name, dur_s in span.child_tally.items()
+        }
+        entry = {
+            "schema": ACCESS_LOG_SCHEMA_VERSION,
+            "ts": span.start_ts,
+            "trace_id": attrs["trace_id"],
+            "method": attrs.get("method", "?"),
+            "path": attrs.get("path", "?"),
+            "endpoint": endpoint,
+            "status": status,
+            "dur_ms": dur_ms,
+            "bytes_in": attrs.get("bytes_in", 0),
+            "bytes_out": attrs.get("bytes_out", 0),
+            "phases": phases,
+        }
+        if status:
+            metrics.counter("serve.requests.total").inc()
+            metrics.counter(f"serve.{endpoint}.requests.total").inc()
+            metrics.counter(f"serve.responses.{status}.total").inc()
+            metrics.histogram(
+                f"serve.{endpoint}.latency_ms", buckets=LATENCY_BUCKETS_MS
+            ).observe(dur_ms)
+            for name, ms in phases.items():
+                metrics.histogram(
+                    f"serve.phase.{name}_ms", buckets=LATENCY_BUCKETS_MS
+                ).observe(ms)
         self.records_total += 1
         self._recent.append(entry)
         self._slowest.append(entry)

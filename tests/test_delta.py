@@ -78,13 +78,13 @@ def assert_resolutions_equal(via_delta, via_rebuild, user_base) -> None:
     assert np.array_equal(bd.base_rtt_ms, br.base_rtt_ms, equal_nan=True)
 
 
-def draw_step(data, deployment, internet):
+def draw_step(data, deployment):
     """One random mutation valid for the deployment's current state.
 
     Withdraws keep at least one global site alive (the planner raises
     otherwise — correctly, but that is not what this suite probes).
     """
-    n_regions = len(internet.world.regions)
+    n_regions = len(deployment.topology.world.regions)
     global_ids = [s.site_id for s in deployment.sites if s.is_global]
     can_withdraw = len(global_ids) > 1
     kind = data.draw(
@@ -103,11 +103,11 @@ def draw_step(data, deployment, internet):
     return ("add", tuple(regions))
 
 
-def plan_step(step, deployment, internet):
+def plan_step(step, deployment):
     kind, arg = step
     if kind == "withdraw":
         return plan_withdraw(deployment, list(arg))
-    return plan_add_regions(internet, deployment, list(arg))
+    return plan_add_regions(deployment, list(arg))
 
 
 class TestEquivalence:
@@ -119,13 +119,9 @@ class TestEquivalence:
         via_delta = via_rebuild = scenario.letters_2018[name]
         steps = data.draw(st.integers(1, 3))
         for _ in range(steps):
-            step = draw_step(data, via_delta, scenario.internet)
-            via_delta = apply_mutation(
-                via_delta, plan_step(step, via_delta, scenario.internet)
-            )
-            via_rebuild = rebuild(
-                via_rebuild, plan_step(step, via_rebuild, scenario.internet)
-            )
+            step = draw_step(data, via_delta)
+            via_delta = apply_mutation(via_delta, plan_step(step, via_delta))
+            via_rebuild = rebuild(via_rebuild, plan_step(step, via_rebuild))
             assert_bitwise_equal(via_delta, via_rebuild)
         assert_resolutions_equal(via_delta, via_rebuild, scenario.user_base)
 
@@ -143,8 +139,8 @@ class TestEquivalence:
         regions = data.draw(
             st.lists(st.integers(0, n_regions - 1), min_size=1, max_size=2, unique=True)
         )
-        grown_d = apply_mutation(base, plan_add_regions(scenario.internet, base, regions))
-        grown_r = rebuild(base, plan_add_regions(scenario.internet, base, regions))
+        grown_d = apply_mutation(base, plan_add_regions(base, regions))
+        grown_r = rebuild(base, plan_add_regions(base, regions))
         assert_bitwise_equal(grown_d, grown_r)
         added = [s.site_id for s in grown_d.sites if s.site_id >= len(base.sites)]
         back_d = apply_mutation(grown_d, plan_withdraw(grown_d, added))

@@ -94,8 +94,8 @@ def test_withdraw_matches_the_loop(k_root, withdrawn, user_base):
     assert_identical(got, failure_impact_loop(k_root, withdrawn, user_base))
 
 
-def test_add_matches_the_loop(k_root, internet, user_base):
-    added = apply_mutation(k_root, plan_add_regions(internet, k_root, [3, 7]))
+def test_add_matches_the_loop(k_root, user_base):
+    added = apply_mutation(k_root, plan_add_regions(k_root, [3, 7]))
     assert_identical(
         failure_impact(k_root, added, user_base),
         failure_impact_loop(k_root, added, user_base),

@@ -80,6 +80,23 @@ class TestSpan:
         assert span.attrs["error"] == "ValueError"
         assert span.dur_s > 0
 
+    def test_tally_children_sums_direct_children_by_name(self):
+        tracer = Tracer()
+        with tracer.span("root").tally_children() as root:
+            with tracer.span("a") as first:
+                with tracer.span("a") as grandchild:
+                    time.sleep(0.002)
+            with pytest.raises(ValueError):
+                with tracer.span("a") as second:
+                    raise ValueError("a phase that fails still counts")
+            with tracer.span("b") as b:
+                pass
+        # The grandchild shares a child's name but lands in its own parent.
+        assert root.child_tally == {"a": first.dur_s + second.dur_s, "b": b.dur_s}
+        assert first.dur_s > grandchild.dur_s > 0
+        # A span that did not opt in keeps no tally, with children or not.
+        assert first.child_tally is None and grandchild.child_tally is None
+
     def test_disabled_tracer_times_but_emits_nothing(self, tmp_path):
         tracer = Tracer()
         assert not tracer.enabled

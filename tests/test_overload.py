@@ -50,7 +50,9 @@ import pytest
 
 import repro
 from repro import faults
+from repro.engine import ArtifactCache
 from repro.engine.pool import MonitoredPool
+from repro.experiments import Scenario
 from repro.obs import MetricsRegistry, metrics
 from repro.obs._loopback import LoopbackDaemon
 from repro.serve.lifecycle import Lifecycle, ServeConfig
@@ -532,6 +534,22 @@ class TestSaturationInProcess:
         assert results["hold"][0] == 200  # in-flight work rode out the drain
         assert metrics.counter("serve.shed.drain.total").value - before >= 1
 
+    def test_compute_phase_of_a_query_that_expires_in_compute(self, service, monkeypatch):
+        # The phase span closes on the 504 too, so the record keeps it.
+        _slow_service(service, monkeypatch, "catchment", 0.6)
+        app = App(service, ServeConfig(workers=0))
+        with LoopbackDaemon(app) as port:
+            status, _, body, _ = _fetch(
+                port, "/v1/catchment/2018-K",
+                headers={"X-Deadline-Ms": "200", "X-Request-Id": "late"},
+            )
+        assert status == 504
+        _assert_error_envelope(json.loads(body), 504, deadline_ms=200.0, where="compute")
+        (record,) = [r for r in app.telemetry.recent() if r["trace_id"] == "late"]
+        phases = record["phases"]
+        assert set(phases) == {"parse", "queue", "compute", "serialize"}, phases
+        assert phases["compute"] >= 150.0, phases
+
 
 @contextlib.contextmanager
 def _one_worker_daemon(service, config):
@@ -609,6 +627,36 @@ class TestOneWorkerPoolInProcess:
         phases = record["phases"]
         assert phases["queue"] > 500.0, phases
         assert phases["compute"] < phases["queue"], phases
+
+    def test_worker_queries_load_no_stage(self, scenario, tmp_path):
+        """A worker answers from the resident deployments alone.
+
+        A fresh scenario over a filled cache loads only the stages the
+        service holds; a forked worker's resolve, add-region what-if and
+        ``/v1/scenario`` must not materialise another (``internet``
+        above all: every worker would unpickle its own copy).
+        """
+        cache = ArtifactCache(root=tmp_path)
+        fresh = Scenario(scale="small", seed=0, cache=cache)
+        for name in ("internet", "user_base", "letters_2018", "letters_2020", "cdn"):
+            cache.store(fresh.stage_key(name), getattr(scenario, name))
+        service = AnycastService(fresh)
+        with _one_worker_daemon(service, ServeConfig(workers=1)) as (_app, _daemon, port):
+
+            def stages_built():
+                _, _, body, _ = _fetch(port, "/v1/metrics")
+                exposition = _parse_prometheus(body.decode())
+                return exposition.get("repro_engine_stages_built_total", 0.0)
+
+            before = stages_built()
+            for method, path, payload in (
+                ("POST", "/v1/resolve", {"deployment": "2018-K", "pairs": [[3, 0]]}),
+                ("POST", "/v1/whatif", {"deployment": "2018-K", "add_regions": [1]}),
+                ("GET", "/v1/scenario", None),
+            ):
+                status, _, _, _ = _fetch(port, path, method=method, payload=payload)
+                assert status == 200, path
+            assert stages_built() == before
 
     def test_out_of_range_asn_is_a_client_error(self, service):
         config = ServeConfig(workers=1, breaker_threshold=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -28,6 +29,7 @@ from repro.anycast import CdnRing, IndependentDeployment, withdraw_sites
 from repro.anycast.resilience import failure_impact
 from repro.engine import ArtifactCache
 from repro.experiments import Scenario
+from repro.obs import metrics
 from repro.obs.schema import validate_access_log_file
 from repro.obs.trace import load_trace
 from repro.serve import (
@@ -201,6 +203,15 @@ class TestServiceOps:
         with pytest.raises(ServiceError, match="cap"):
             service.whatif_payload("2018-K", list(range(MAX_WHATIF_SITES + 1)), None)
 
+    def test_whatif_resolves_only_the_modified_deployment(self, service):
+        # The baseline is the memoised user-base batch a catchment built.
+        service.catchment_payload("2018-K")
+        resolves = metrics.counter("kernel.resolves.total")
+        for remove_sites, add_regions in (([0], None), (None, [3]), ([1], [4])):
+            before = resolves.value
+            service.whatif_payload("2018-K", remove_sites, add_regions)
+            assert resolves.value - before == 1, (remove_sites, add_regions)
+
     def test_whatif_leaves_resident_deployment_untouched(self, service, scenario):
         resident = service.deployments["2018-K"]
         assert isinstance(resident, IndependentDeployment)
@@ -274,6 +285,15 @@ def _await_port(child, timeout=240.0):
 def _get(base, path, timeout=120):
     with urllib.request.urlopen(base + path, timeout=timeout) as response:
         return response.status, response.read()
+
+
+def _metric(base, name):
+    """One series' value on ``/v1/metrics`` (0 before its first count)."""
+    _, body = _get(base, "/v1/metrics")
+    for line in body.decode().splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
 
 
 def _post(base, path, payload, timeout=120):
@@ -371,6 +391,18 @@ class TestHttpDaemon:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base, "/v1/catchment/2018-ZZ")
         assert excinfo.value.code == 404
+
+    def test_requests_refused_while_parsing_are_counted(self, daemon):
+        base, _ = daemon
+        host, port = base.removeprefix("http://").split(":")
+        before = _metric(base, "repro_serve_responses_400_total")
+        with socket.create_connection((host, int(port)), timeout=60) as sock:
+            sock.sendall(b"GARBAGE\r\n\r\n")
+            with sock.makefile("rb") as stream:
+                reply = stream.read()  # the daemon closes after a parse error
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+        assert b"malformed request line" in reply
+        assert _metric(base, "repro_serve_responses_400_total") == before + 1
 
     def test_metrics_exposition(self, daemon):
         base, _ = daemon
@@ -632,6 +664,27 @@ class TestTracedDaemon:
             assert set(record["phases"]) >= {"parse", "queue", "compute", "serialize"}
             # Phases never exceed the request wall time they break down.
             assert sum(record["phases"].values()) <= record["dur_ms"] * 1.01
+
+    def test_access_records_are_read_off_the_request_spans(self, traced):
+        """Each access record is its ``serve.request`` span, read once.
+
+        ``dur_ms`` is the span's ``dur_s`` and each phase its direct
+        child's, in milliseconds, exactly: no second clock times a
+        request.
+        """
+        records = traced["trace"]
+        spans = {r["attrs"]["trace_id"]: r for r in self._request_spans(records)}
+        assert len(traced["access"]) == len(spans) == self.REQUESTS
+        for access in traced["access"]:
+            span = spans[access["trace_id"]]
+            assert access["dur_ms"] == span["dur_s"] * 1000.0
+            assert access["ts"] == span["ts"]
+            children = {r["name"]: r for r in records if r["parent"] == span["id"]}
+            assert {f"serve.{name}" for name in access["phases"]} == set(children)
+            for name, ms in access["phases"].items():
+                assert ms == children[f"serve.{name}"]["dur_s"] * 1000.0, name
+            for key in ("method", "path", "bytes_in", "endpoint", "status", "bytes_out"):
+                assert access[key] == span["attrs"][key], key
 
     def _request_spans(self, records):
         return [r for r in records if r["name"] == "serve.request"]
