@@ -23,12 +23,14 @@ out.  Three pieces, all event-loop-confined (no locks):
   header.  The budget covers queue wait *and* compute; expiry anywhere
   answers 504 inside the standard error envelope, and an expired pool
   task is abandoned — its worker killed and respawned — so the slot
-  comes back instead of staying wedged.
+  comes back instead of staying wedged.  A thread cannot be killed, so
+  an expired thread keeps its slot until it returns.
 
 * :class:`CircuitBreaker` — trips after ``threshold`` *consecutive*
   pool failures (worker crashes or deadline expiries while a worker
   runs the task; a budget spent in the admission queue is no pool
-  failure).  While open, query endpoints fall back to the warm
+  failure).  While open, the pooled query endpoints (all but resolve,
+  which always answers on the event loop) fall back to the warm
   in-process kernels (thread path, through the same admission slots;
   what-if additionally drops to the rebuild oracle) — degraded
   capacity, but every request still gets a correct answer.  After
@@ -269,13 +271,24 @@ class AdmissionQueue:
     def release(self) -> None:
         """Return a slot; the oldest live waiter is granted it in place."""
         self._inflight -= 1
-        while self._waiters:
+        while self._waiters and self._inflight < self.max_inflight:
             future = self._waiters.popleft()
             if future.done():  # shed or timed out while queued
                 continue
             self._inflight += 1
             future.set_result(None)
             break
+
+    def hold_until(self, work: asyncio.Future) -> None:
+        """Keep one more slot taken until ``work`` is done.
+
+        For work that outlives its request and cannot be stopped (a
+        thread past its deadline): the request releases its own slot as
+        usual, and this one comes back when ``work`` finishes, so no
+        waiter is granted a slot the work still occupies.
+        """
+        self._inflight += 1
+        work.add_done_callback(lambda _: self.release())
 
     def shed_queued(self, *, reason: str = "drain",
                     retry_after_s: float = DRAIN_RETRY_AFTER_S) -> int:

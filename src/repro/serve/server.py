@@ -5,25 +5,29 @@ enough HTTP for JSON clients and Prometheus scrapers (request line,
 headers, ``Content-Length`` bodies, keep-alive), with zero dependencies
 beyond the stdlib.
 
-Concurrency model: parsing and light endpoints run on the event loop;
-query endpoints offload through :meth:`App.execute` — either to a
-forked :class:`~repro.engine.pool.MonitoredPool` worker (``--workers
-N``, the default), whose answer the loop itself awaits with
+Concurrency model: parsing and light endpoints run on the event loop,
+and so does every ``/v1/resolve``: a batch lookup in the warm kernels
+costs less than the two process hops of a pool round trip.  The other
+queries (scenario, catchment, inflation, what-if) offload through
+:meth:`App.execute` — either to a forked
+:class:`~repro.engine.pool.MonitoredPool` worker (``--workers N``, the
+default), whose answer the loop itself awaits with
 :meth:`~repro.engine.pool.MonitoredPool.call` (so the daemon is one
 thread), or to a thread (``--workers 0``).  The
-:mod:`repro.serve.overload` admission queue in front of them is the
-only place a query waits: it grants exactly the compute capacity
-(``--workers`` slots, one with ``--workers 0``), ``--max-queue`` more
-wait, and the rest are shed with 429 (so a burst costs a bounded
-amount of memory and every refused client hears so immediately).
-Each request carries a deadline (per-endpoint default or
-``X-Deadline-Ms``); expiry answers 504, and a worker still running the
-task is killed and respawned to reclaim the slot.  A circuit breaker
-around the pool trips on consecutive worker failures and routes
+:mod:`repro.serve.overload` admission queue in front of every query,
+resolve included, is the only place a query waits: it grants exactly
+the compute capacity (``--workers`` slots, one with ``--workers 0``),
+``--max-queue`` more wait, and the rest are shed with 429 (so a burst
+costs a bounded amount of memory and every refused client hears so
+immediately).  Each request carries a deadline (per-endpoint default
+or ``X-Deadline-Ms``); expiry answers 504, a worker still running the
+task is killed and respawned to reclaim the slot, and a thread still
+running it keeps the slot until it returns.  A circuit breaker around
+the pool trips on consecutive worker failures and routes the pooled
 queries, through the same slots, to the warm in-process kernels until
-half-open probes prove the pool healthy again.  Workers fork *after*
-the service warm-up, so every worker shares the resident kernels
-copy-on-write.
+half-open probes prove the pool healthy again; resolves never touch
+the pool or the breaker.  Workers fork *after* the service warm-up, so
+every worker shares the resident kernels copy-on-write.
 
 Request telemetry: every request gets a ``trace_id`` (honouring an
 inbound ``X-Request-Id``), echoed back as ``X-Request-Id`` and bound to
@@ -115,7 +119,10 @@ class App:
 
     async def execute(self, op: str, kwargs: dict,
                       deadline: Deadline | None = None) -> dict:
-        """Run one service operation off the event loop; returns its payload.
+        """Run one service operation; returns its payload.
+
+        A resolve runs on the event loop, every other operation on a
+        pool worker or a thread.
 
         Raises :class:`ServiceError` for client-attributable failures
         (the worker ships them back reified, so a bad request never
@@ -125,7 +132,9 @@ class App:
         Two phase spans open here, and count however they end:
         ``serve.queue`` (the admission queue — its span says whether the
         request was admitted or shed, and why) and ``serve.compute``
-        (the pool or thread round-trip, bounded by ``deadline``).  With
+        (the inline call, or the pool or thread round-trip, bounded by
+        ``deadline``), whose ``serve.task`` child is the operation
+        itself wherever it ran.  With
         tracing on, a pool worker re-roots its spans under this
         context's compute frame, and the worker's wall time is
         attributed to that frame's child time — the same telescoping
@@ -157,10 +166,25 @@ class App:
             # a half-open probe slot taken here would never be reported.
             count_expired("compute")
             raise DeadlineExpired(deadline.budget_ms, where="compute")
-        route = self.breaker.route() if self.pool is not None else "thread"
-        degraded = route == "degraded"
+        if op == "resolve":
+            # A resolve answers on the loop in every mode: its kernel
+            # call costs less than the hops to a worker and back, and no
+            # worker crash or breaker state can reach it there.
+            route = "inline"
+        elif self.pool is None:
+            route = "thread"
+        else:
+            route = self.breaker.route()
         with trace.span("serve.compute", op=op) as compute_span:
-            if self.pool is not None and not degraded:
+            if route == "inline":
+                with trace.span("serve.task", op=op):
+                    verdict = self.service.execute_safe(op, kwargs)
+                if deadline is not None and deadline.expired:
+                    # Nothing to reclaim and no pool failure: the
+                    # answer is just late.
+                    count_expired("compute")
+                    raise DeadlineExpired(deadline.budget_ms, where="compute")
+            elif route in ("pool", "probe"):
                 verdict, worker_dur_s = await self._pool_compute(
                     op, kwargs, deadline, route, compute_span
                 )
@@ -169,6 +193,7 @@ class App:
                 # exclusive times keep telescoping across the hop.
                 compute_span.child_s += worker_dur_s
             else:
+                degraded = route == "degraded"
                 if degraded:
                     compute_span.set(degraded=True)
                     metrics.counter("serve.degraded.total").inc()
@@ -259,13 +284,17 @@ class App:
             None, lambda: context.run(self.service.execute_safe, op, kwargs)
         )
         timeout = deadline.remaining_s() if deadline is not None else None
-        try:
-            return await asyncio.wait_for(future, timeout)
-        except (TimeoutError, asyncio.TimeoutError):
-            # The thread cannot be killed; it finishes into the void
-            # while the client gets its 504 on time.
+        # asyncio.wait, unlike wait_for, leaves the future running on
+        # timeout.  The thread cannot be killed: the client gets its 504
+        # on time, and the thread keeps an admission slot until it
+        # returns, so admission, not the executor's thread cap, bounds
+        # how many computations run at once.
+        done, _ = await asyncio.wait((future,), timeout=timeout)
+        if not done:
+            self.admission.hold_until(future)
             count_expired("compute")
-            raise DeadlineExpired(deadline.budget_ms, where="compute") from None
+            raise DeadlineExpired(deadline.budget_ms, where="compute")
+        return future.result()
 
     # -- connection handling ----------------------------------------------
     async def handle_client(self, reader: asyncio.StreamReader,

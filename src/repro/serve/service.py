@@ -6,10 +6,10 @@ years, every CDN ring), their lazily built :class:`FlowKernel`\\ s, the
 region distance matrix, and the user-base columns the catchment and
 inflation aggregates run over.  Query execution is a pure function of
 that state, so the same :meth:`execute` answers requests whether it
-runs on the event-loop's thread offload or inside a forked
-:class:`~repro.engine.pool.MonitoredPool` worker — forked *after* the
-warm-up, so workers share the resident tables copy-on-write, exactly
-like the experiment engine's prewarm path.
+runs on the daemon's event loop (every resolve), on a thread, or inside
+a forked :class:`~repro.engine.pool.MonitoredPool` worker — forked
+*after* the warm-up, so workers share the resident tables
+copy-on-write, exactly like the experiment engine's prewarm path.
 
 Results are bitwise-identical to the library path: the service calls
 the same ``resolve_many`` on the same warm kernels, and JSON's
@@ -19,6 +19,7 @@ shortest-repr float round-trip is exact.
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -71,10 +72,53 @@ def _not_found(message: str) -> ServiceError:
     return ServiceError(404, message)
 
 
-def _float_or_none(value: float) -> float | None:
-    """JSON-safe float: masked (NaN) rows serialise as ``null``."""
-    value = float(value)
-    return None if value != value else value
+def _floats_or_none(column: np.ndarray) -> list:
+    """JSON-safe floats: masked (NaN) rows serialise as ``null``."""
+    values = column.tolist()
+    for index in np.flatnonzero(np.isnan(column)).tolist():
+        values[index] = None
+    return values
+
+
+def _pair_columns(pairs: list) -> np.ndarray | None:
+    """``pairs`` as a 2×N int64 ``[asns, regions]`` array, or None.
+
+    None unless every pair is a list or tuple of exactly two ints (bools
+    excluded) that fit in int64 — the shape :func:`_check_pairs`
+    accepts, checked in bulk.  Ranges are the caller's to check.
+    """
+    if not all(issubclass(kind, (list, tuple)) for kind in set(map(type, pairs))):
+        return None
+    if set(map(len, pairs)) != {2}:
+        return None
+    values = list(chain.from_iterable(pairs))
+    if not all(
+        issubclass(kind, int) and not issubclass(kind, bool)
+        for kind in set(map(type, values))
+    ):
+        return None
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:  # beyond int64: out of range whatever the bound
+        return None
+
+
+def _check_pairs(pairs: list, n_regions: int) -> None:
+    """Raise the 400 for the first malformed or out-of-range pair."""
+    for index, pair in enumerate(pairs):
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+        ):
+            raise _bad_request(f"pairs[{index}] is not an [asn, region] integer pair")
+        asn, region = pair
+        if not 0 <= asn < MAX_ASN:
+            raise _bad_request(f"pairs[{index}]: asn {asn} outside [0, 2**32)")
+        if not 0 <= region < n_regions:
+            raise _bad_request(
+                f"pairs[{index}]: region {region} outside [0, {n_regions})"
+            )
 
 
 class AnycastService:
@@ -167,37 +211,29 @@ class AnycastService:
             raise _bad_request(
                 f"batch of {len(pairs)} rows exceeds the {MAX_RESOLVE_ROWS}-row cap"
             )
-        asns, regions = [], []
         n_regions = len(deployment.topology.world.regions)
-        for index, pair in enumerate(pairs):
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise _bad_request(f"pairs[{index}] is not an [asn, region] integer pair")
-            asn, region = pair
-            if not 0 <= asn < MAX_ASN:
-                raise _bad_request(f"pairs[{index}]: asn {asn} outside [0, 2**32)")
-            if not 0 <= region < n_regions:
-                raise _bad_request(
-                    f"pairs[{index}]: region {region} outside [0, {n_regions})"
-                )
-            asns.append(asn)
-            regions.append(region)
-        batch = deployment.resolve_many(asns, regions)
+        columns = _pair_columns(pairs)
+        if columns is None or not (
+            columns.min() >= 0
+            and columns[0].max() < MAX_ASN
+            and columns[1].max() < n_regions
+        ):
+            _check_pairs(pairs, n_regions)  # raises the first bad pair's 400
+        batch = deployment.resolve_many(columns[0], columns[1])
         ok = batch.ok
+        # ``tolist()`` yields the same Python ints, floats and bools the
+        # per-element conversions did, so the JSON text is unchanged.
         return {
             "deployment": deployment_name,
             "rows": len(batch),
             "served": int(ok.sum()),
-            "ok": [bool(v) for v in ok],
-            "site_ids": [int(v) for v in batch.site_ids],
-            "site_region_ids": [int(v) for v in batch.site_region_ids],
-            "as_hops": [int(v) for v in batch.as_hops],
-            "base_rtt_ms": [_float_or_none(v) for v in batch.base_rtt_ms],
-            "site_km": [_float_or_none(v) for v in batch.site_km],
-            "min_km": [float(v) for v in batch.min_km],
+            "ok": ok.tolist(),
+            "site_ids": batch.site_ids.tolist(),
+            "site_region_ids": batch.site_region_ids.tolist(),
+            "as_hops": batch.as_hops.tolist(),
+            "base_rtt_ms": _floats_or_none(batch.base_rtt_ms),
+            "site_km": _floats_or_none(batch.site_km),
+            "min_km": batch.min_km.tolist(),
         }
 
     def catchment_payload(self, deployment_name) -> dict:
@@ -391,7 +427,8 @@ def service_task(op: str, kwargs: dict, trace_ctx: tuple | None = None,
     kills exactly the first submitted task rather than every task a
     freshly forked worker ever sees.  The ``worker_crash`` chokepoint
     fires here — only ever inside a forked pool worker, never on the
-    thread/degraded path, where ``os._exit`` would kill the daemon.
+    event loop (resolve) or the thread/degraded path, where
+    ``os._exit`` would kill the daemon.
 
     ``trace_ctx`` is ``(shard_dir, parent_span_id, trace_id)`` when the
     daemon is tracing: the worker shards into ``shard_dir`` (a no-op

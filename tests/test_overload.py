@@ -550,6 +550,43 @@ class TestSaturationInProcess:
         assert set(phases) == {"parse", "queue", "compute", "serialize"}, phases
         assert phases["compute"] >= 150.0, phases
 
+    def test_expired_thread_keeps_its_slot_until_it_returns(self, service, monkeypatch):
+        # A thread cannot be killed: past its deadline the client gets a
+        # 504, and the computation it leaves running keeps the only slot.
+        real = service.execute_safe
+        lock = threading.Lock()
+        load = {"running": 0, "peak": 0}
+
+        def slowed(op, kwargs):
+            if op != "catchment":
+                return real(op, kwargs)
+            with lock:
+                load["running"] += 1
+                load["peak"] = max(load["peak"], load["running"])
+            try:
+                time.sleep(1.0)
+                return real(op, kwargs)
+            finally:
+                with lock:
+                    load["running"] -= 1
+
+        monkeypatch.setattr(service, "execute_safe", slowed)
+        app = App(service, ServeConfig(workers=0, max_queue=0))
+        with LoopbackDaemon(app) as port:
+            status, _, body, elapsed = _fetch(
+                port, "/v1/catchment/2018-K", headers={"X-Deadline-Ms": "150"}
+            )
+            assert status == 504
+            assert elapsed < 0.9, "the 504 must not wait for the thread"
+            _assert_error_envelope(json.loads(body), 504, deadline_ms=150.0, where="compute")
+            status, _, body, _ = _fetch(port, "/v1/catchment/2018-K")
+            assert status == 429, "admitted while the expired thread still computes"
+            _assert_error_envelope(json.loads(body), 429, reason="queue_full")
+            _wait_until(lambda: load["running"] == 0 and app.admission.inflight == 0)
+            status, _, _, _ = _fetch(port, "/v1/catchment/2018-K")
+        assert status == 200
+        assert load["peak"] == 1
+
 
 @contextlib.contextmanager
 def _one_worker_daemon(service, config):
@@ -657,6 +694,26 @@ class TestOneWorkerPoolInProcess:
                 status, _, _, _ = _fetch(port, path, method=method, payload=payload)
                 assert status == 200, path
             assert stages_built() == before
+
+    def test_late_resolve_is_a_compute_expiry_not_a_pool_failure(
+            self, service, monkeypatch):
+        # A resolve answers on the loop: one that finishes past its
+        # budget has no worker to kill and nothing to tell the breaker.
+        _slow_service(service, monkeypatch, "resolve", 0.3)
+        expired = metrics.counter("serve.deadline.compute.expired.total")
+        abandoned = metrics.counter("engine.pool.abandoned.total")
+        before = (expired.value, abandoned.value)
+        config = ServeConfig(workers=1, breaker_threshold=1)
+        with _one_worker_daemon(service, config) as (app, _daemon, port):
+            status, _, body, _ = _fetch(
+                port, "/v1/resolve", method="POST",
+                payload={"deployment": "2018-K", "pairs": [[3, 0]]},
+                headers={"X-Deadline-Ms": "100"},
+            )
+        assert status == 504
+        _assert_error_envelope(json.loads(body), 504, deadline_ms=100.0, where="compute")
+        assert (expired.value, abandoned.value) == (before[0] + 1, before[1])
+        assert app.breaker.state == "closed"
 
     def test_out_of_range_asn_is_a_client_error(self, service):
         config = ServeConfig(workers=1, breaker_threshold=1)
@@ -836,26 +893,26 @@ class TestChaosDaemon:
 
     def test_worker_crash_is_retried_on_a_live_connection(self, scenario):
         with _Daemon("--workers", "2",
-                     "--inject", "worker_crash:n=1:match=serve.resolve") as daemon:
+                     "--inject", "worker_crash:n=1:match=serve.catchment") as daemon:
             connection = http.client.HTTPConnection("127.0.0.1", daemon.port,
                                                     timeout=120)
             try:
                 # First pool submission (seq 0): the worker is shot
                 # mid-request.  The daemon respawns it and retries; the
                 # client sees a plain 200 on the same connection.
-                body = json.dumps({"deployment": "2018-K", "pairs": [[3, 0]]})
-                connection.request("POST", "/v1/resolve", body=body,
-                                   headers={"Content-Type": "application/json"})
+                connection.request("GET", "/v1/catchment/2018-K")
                 response = connection.getresponse()
                 wrapped = json.loads(response.read())
                 assert response.status == 200
                 assert validate_envelope(wrapped) == []
-                assert wrapped["payload"]["rows"] == 1
+                assert wrapped["payload"]["deployment"] == "2018-K"
                 # The keep-alive connection survived the crash: reuse it.
-                connection.request("GET", "/v1/catchment/2018-K")
+                body = json.dumps({"deployment": "2018-K", "pairs": [[3, 0]]})
+                connection.request("POST", "/v1/resolve", body=body,
+                                   headers={"Content-Type": "application/json"})
                 response = connection.getresponse()
                 assert response.status == 200
-                json.loads(response.read())
+                assert json.loads(response.read())["payload"]["rows"] == 1
             finally:
                 connection.close()
             counters = daemon.counters()
@@ -871,25 +928,50 @@ class TestChaosDaemon:
         with _Daemon("--workers", "1",
                      "--inject", "worker_crash:n=1:match=serve.scenario",
                      "--inject",
-                     "deadline_expire:n=1:s=0.001:match=serve.resolve") as daemon:
+                     "deadline_expire:n=1:s=0.001:match=serve.whatif") as daemon:
             status, _, _ = daemon.exchange("GET", "/v1/scenario")
             assert status == 200  # crash, then a retry on a respawned worker
-            users = [[loc.asn, loc.region_id] for loc in scenario.user_base]
-            pairs = (users * (10_000 // len(users) + 1))[:10_000]
-            status, _, wrapped = daemon.exchange(
-                "POST", "/v1/resolve", payload={"deployment": "2018-K", "pairs": pairs},
-            )
+            # A what-if re-propagates for milliseconds: the 1 ms budget
+            # runs out while the respawned worker computes, so it is killed.
+            whatif = {"deployment": "2018-K", "remove_sites": [0]}
+            status, _, wrapped = daemon.exchange("POST", "/v1/whatif", payload=whatif)
             assert status == 504
             _assert_error_envelope(wrapped, 504, where="compute")
             _, _, wrapped = daemon.exchange("GET", "/v1/healthz")
             assert wrapped["payload"]["status"] == "ok"
             started = time.monotonic()
-            status, _, _ = daemon.exchange(
-                "POST", "/v1/resolve", payload={"deployment": "2018-K", "pairs": pairs},
-            )
+            status, _, _ = daemon.exchange("POST", "/v1/whatif", payload=whatif)
             assert status == 200
             assert time.monotonic() - started < 4.0
             assert daemon.counters()["engine.pool.abandoned.total"] == 1
+
+    def test_resolves_never_reach_a_worker(self, scenario):
+        # Every pooled resolve would crash its worker, and the scenario
+        # crashes twice (a retry included) to open the breaker.
+        with _Daemon("--workers", "2",
+                     "--breaker-threshold", "1", "--breaker-cooldown", "600",
+                     "--inject", "worker_crash:match=serve.resolve",
+                     "--inject", "worker_crash:n=2:match=serve.scenario") as daemon:
+            resolve = {"deployment": "2018-K", "pairs": [[3, 0], [7, 1]]}
+            for _ in range(3):
+                status, _, wrapped = daemon.exchange("POST", "/v1/resolve", payload=resolve)
+                assert status == 200, wrapped
+                assert wrapped["payload"]["rows"] == 2
+            counters = daemon.counters()
+            assert counters.get("engine.worker_crashes.total", 0) == 0
+            assert daemon.breaker_state() == "closed"
+            status, _, wrapped = daemon.exchange("GET", "/v1/scenario")
+            assert status == 503
+            _assert_error_envelope(wrapped, 503, reason="worker_lost")
+            assert daemon.breaker_state() == "open"
+            degraded = daemon.counters().get("serve.degraded.total", 0)
+            for _ in range(3):
+                status, _, wrapped = daemon.exchange("POST", "/v1/resolve", payload=resolve)
+                assert status == 200, wrapped
+            counters = daemon.counters()
+            assert counters.get("serve.degraded.total", 0) == degraded
+            assert counters["engine.worker_crashes.total"] == 2  # the scenario's only
+            assert daemon.breaker_state() == "open"
 
     def test_breaker_browns_out_instead_of_blacking_out(self, scenario):
         # Threshold 1 and a prohibitive cooldown: the first crash opens

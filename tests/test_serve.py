@@ -41,7 +41,7 @@ from repro.serve import (
     validate_envelope,
 )
 from repro.serve.schema import load_checked_in_schema
-from repro.serve.service import MAX_RESOLVE_ROWS, MAX_WHATIF_SITES
+from repro.serve.service import MAX_ASN, MAX_RESOLVE_ROWS, MAX_WHATIF_SITES
 from repro.serve.telemetry import ACCESS_LOG_SCHEMA
 
 DOCS = Path(__file__).parent.parent / "docs"
@@ -53,8 +53,26 @@ def service(scenario):
 
 
 def _user_pairs(scenario, count):
+    """The first ``count`` user locations, plus one unrouted ASN (a masked row)."""
     locations = list(scenario.user_base)[:count]
-    return [[loc.asn, loc.region_id] for loc in locations]
+    return [[loc.asn, loc.region_id] for loc in locations] + [[MAX_ASN - 1, 0]]
+
+
+def _assert_payload_is_the_batch(payload, batch):
+    """Every one of the seven resolve columns equals the library batch's.
+
+    Exact: JSON floats round-trip, and masked rows (NaN) read ``null``.
+    """
+    assert payload["rows"] == len(batch)
+    assert payload["served"] == int(batch.ok.sum())
+    assert not batch.ok.all(), "no masked row: the null path went untested"
+    assert payload["ok"] == [bool(v) for v in batch.ok]
+    for column in ("site_ids", "site_region_ids", "as_hops"):
+        assert payload[column] == [int(v) for v in getattr(batch, column)], column
+    for column in ("base_rtt_ms", "site_km"):
+        expected = [None if v != v else float(v) for v in getattr(batch, column)]
+        assert payload[column] == expected, column
+    assert payload["min_km"] == [float(v) for v in batch.min_km]
 
 
 class TestEnvelopeSchema:
@@ -110,17 +128,14 @@ class TestServiceOps:
         batch = service.deployments[name].resolve_many(
             [p[0] for p in pairs], [p[1] for p in pairs]
         )
-        assert payload["rows"] == len(batch)
-        assert payload["served"] == int(batch.ok.sum())
-        assert payload["ok"] == [bool(v) for v in batch.ok]
-        assert payload["site_ids"] == [int(v) for v in batch.site_ids]
-        assert payload["as_hops"] == [int(v) for v in batch.as_hops]
-        for got, want in zip(payload["base_rtt_ms"], batch.base_rtt_ms):
-            if want != want:  # masked row: NaN serialises as null
-                assert got is None
-            else:
-                assert got == float(want)  # exact: JSON floats round-trip
-        assert payload["min_km"] == [float(v) for v in batch.min_km]
+        _assert_payload_is_the_batch(payload, batch)
+
+    def test_resolve_accepts_tuples_in_process(self, service, scenario):
+        pairs = _user_pairs(scenario, 8)
+        mixed = [tuple(pair) if i % 2 else pair for i, pair in enumerate(pairs)]
+        assert service.resolve_payload("2018-K", mixed) == (
+            service.resolve_payload("2018-K", pairs)
+        )
 
     @pytest.mark.parametrize("pairs, message", [
         ([], "non-empty"),
@@ -133,6 +148,14 @@ class TestServiceOps:
         ([[2**63, 0]], r"asn 9223372036854775808 outside \[0, 2\*\*32\)"),
         ([[2**32, 0]], r"asn 4294967296 outside"),
         ([[-1, 0]], r"asn -1 outside"),
+        ([[-2**63 - 1, 0]], r"asn -9223372036854775809 outside"),
+        # The first bad pair is reported, after good ones too...
+        ([[3, 0], [True, 0]], r"pairs\[1\] is not an \[asn, region\] integer pair"),
+        ([[3, 0], [3, 2**64]], r"pairs\[1\]: region 18446744073709551616 outside"),
+        # ...and the first error wins, within a pair and across pairs.
+        ([[-1, 10**9]], r"pairs\[0\]: asn -1 outside"),
+        ([[2**32, 0], [3, 10**9]], r"pairs\[0\]: asn 4294967296 outside"),
+        ([[3, 10**9], [2**32, 0]], r"pairs\[0\]: region 1000000000 outside"),
     ])
     def test_resolve_rejects_malformed_pairs(self, service, pairs, message):
         with pytest.raises(ServiceError, match=message) as excinfo:
@@ -358,9 +381,7 @@ class TestHttpDaemon:
         batch = scenario.letters_2018["K"].resolve_many(
             [p[0] for p in pairs], [p[1] for p in pairs]
         )
-        assert payload["site_ids"] == [int(v) for v in batch.site_ids]
-        expected_rtt = [None if v != v else float(v) for v in batch.base_rtt_ms]
-        assert payload["base_rtt_ms"] == expected_rtt
+        _assert_payload_is_the_batch(payload, batch)
 
     @pytest.mark.parametrize("method, path, status", [
         ("GET", "/nope", 404),
@@ -375,22 +396,27 @@ class TestHttpDaemon:
                                          data=b"{}" if method == "POST" else None)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=60)
-        assert excinfo.value.code == status
-        wrapped = json.loads(excinfo.value.read())
+        with excinfo.value as error:  # closes the response's socket
+            assert error.code == status
+            wrapped = json.loads(error.read())
         assert validate_envelope(wrapped) == []
         assert "error" in wrapped["payload"]
 
     def test_client_error_payloads(self, daemon):
         base, _ = daemon
+        # Each HTTPError holds its response open until closed.
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base, "/v1/resolve", {"deployment": "2018-K", "pairs": []})
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base, "/v1/whatif", {"deployment": "R110", "remove_sites": [0]})
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base, "/v1/catchment/2018-ZZ")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_requests_refused_while_parsing_are_counted(self, daemon):
         base, _ = daemon
@@ -521,8 +547,9 @@ class TestRequestId:
         base, _ = daemon
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _exchange(base, "/v1/nope", headers={"X-Request-Id": "err-1"})
-        assert excinfo.value.code == 404
-        assert excinfo.value.headers.get("X-Request-Id") == "err-1"
+        with excinfo.value as error:  # closes the response's socket
+            assert error.code == 404
+            assert error.headers.get("X-Request-Id") == "err-1"
 
 
 class TestDebugEndpoints:
@@ -603,14 +630,24 @@ class TestAccessLogContract:
 class TestTracedDaemon:
     """workers=4 with ``--trace`` and ``--access-log``: the full contract.
 
-    Boots the daemon tracing into a tmp file, issues resolves with
-    client-supplied request ids, drains, then checks the three outputs
-    against each other: response headers, access-log records, and the
-    merged span tree (worker spans re-rooted under the request's compute
-    frame, exclusive times telescoping to the request wall time).
+    Boots the daemon tracing into a tmp file, sends resolves (answered
+    on the daemon's event loop) and catchments (answered by pool
+    workers) with client-supplied request ids, drains, then checks the
+    three outputs against each other: response headers, access-log
+    records, and the merged span tree (worker spans re-rooted under the
+    request's compute frame, exclusive times telescoping to the request
+    wall time).
     """
 
-    REQUESTS = 3
+    #: ``(endpoint, path, JSON body or None for a GET)``, sent as
+    #: ``traced-<index>``.
+    PLAN = (
+        ("resolve", "/v1/resolve", {"deployment": "2018-K", "pairs": [[3, 0], [7, 1]]}),
+        ("catchment", "/v1/catchment/2018-K", None),
+        ("resolve", "/v1/resolve", {"deployment": "R110", "pairs": [[3, 0]]}),
+        ("catchment", "/v1/catchment/R110", None),
+    )
+    REQUESTS = len(PLAN)
 
     @pytest.fixture(scope="class")
     def traced(self, tmp_path_factory, scenario):
@@ -627,11 +664,9 @@ class TestTracedDaemon:
         port = _await_port(child)
         base = f"http://127.0.0.1:{port}"
         responses = []
-        for i in range(self.REQUESTS):
+        for i, (_endpoint, path, payload) in enumerate(self.PLAN):
             responses.append(_exchange(
-                base, "/v1/resolve",
-                headers={"X-Request-Id": f"traced-{i}"},
-                payload={"deployment": "2018-K", "pairs": [[3, 0], [7, 1]]},
+                base, path, headers={"X-Request-Id": f"traced-{i}"}, payload=payload,
             ))
         child.send_signal(signal.SIGTERM)
         out, _ = child.communicate(timeout=120)
@@ -656,11 +691,13 @@ class TestTracedDaemon:
 
     def test_access_records_join_responses_by_trace_id(self, traced):
         by_id = {r["trace_id"]: r for r in traced["access"]}
-        for i in range(self.REQUESTS):
+        for i, (endpoint, path, payload) in enumerate(self.PLAN):
             record = by_id[f"traced-{i}"]
-            assert record["endpoint"] == "resolve"
-            assert record["method"] == "POST" and record["status"] == 200
-            assert record["bytes_in"] > 0 and record["bytes_out"] > 0
+            assert record["endpoint"] == endpoint and record["path"] == path
+            assert record["method"] == ("POST" if payload else "GET")
+            assert record["status"] == 200
+            assert (record["bytes_in"] > 0) == (payload is not None)
+            assert record["bytes_out"] > 0
             assert set(record["phases"]) >= {"parse", "queue", "compute", "serialize"}
             # Phases never exceed the request wall time they break down.
             assert sum(record["phases"].values()) <= record["dur_ms"] * 1.01
@@ -699,8 +736,9 @@ class TestTracedDaemon:
             f"traced-{i}" for i in range(self.REQUESTS)
         }
         for request in requests:
+            index = int(request["attrs"]["trace_id"].removeprefix("traced-"))
             assert request["parent"] == root["id"]
-            assert request["attrs"]["endpoint"] == "resolve"
+            assert request["attrs"]["endpoint"] == self.PLAN[index][0]
             assert request["attrs"]["status"] == 200
 
     def test_request_spans_have_the_phase_children(self, traced):
@@ -713,13 +751,21 @@ class TestTracedDaemon:
     def test_worker_spans_reroot_under_the_compute_frame(self, traced):
         records = traced["trace"]
         computes = {r["id"]: r for r in records if r["name"] == "serve.compute"}
+        requests = {r["id"]: r for r in self._request_spans(records)}
         tasks = [r for r in records if r["name"] == "serve.task"]
         assert len(tasks) == self.REQUESTS
-        request_pids = {r["pid"] for r in self._request_spans(records)}
+        request_pids = {r["pid"] for r in requests.values()}
+        assert len(request_pids) == 1
         for task in tasks:
             assert task["parent"] in computes, "serve.task not under serve.compute"
-            assert task["pid"] not in request_pids, "task span ran in the daemon process"
-            assert task["attrs"]["op"] == "resolve"
+            # ...and under this request's own compute frame.
+            request = requests[computes[task["parent"]]["parent"]]
+            assert task["attrs"]["op"] == request["attrs"]["endpoint"]
+            if task["attrs"]["op"] == "resolve":
+                assert task["pid"] in request_pids, "resolve left the daemon process"
+            else:
+                assert task["pid"] not in request_pids, "task span ran in the daemon process"
+        assert {task["attrs"]["op"] for task in tasks} == {"resolve", "catchment"}
 
     def test_exclusive_times_telescope_per_request(self, traced):
         """Σ self_s over a request's subtree ≈ the request's wall time.
